@@ -27,7 +27,7 @@ from .cones import (
     is_good,
 )
 from .cy import compute_gamma, kernel_lattice, normalize_height
-from .errors import DiagramError, NotNormalized, SasakitError
+from .errors import NotNormalized, SasakitError
 from .families import FAMILY_BUILDERS
 from .potentials import (
     LinearTerm,
@@ -73,30 +73,43 @@ def _interior_sample(diagram: ToricDiagram) -> np.ndarray:
     return cap.mean(axis=0)
 
 
-def _load_rank3(path: str) -> ToricDiagram:
-    diagram, _ = load_diagram(path)
-    if diagram.rank != 3:
-        raise ValueError("the command line pipeline handles rank-3 diagrams only")
+def _fail(message: str, code: int) -> int:
+    print(dumps({"error": message, "tool": _tool_block()}), end="")
+    return code
+
+
+def _load_rank3(path: str) -> ToricDiagram | None:
+    """The rank-3 diagram at `path`, or None once the input error is printed."""
+    try:
+        diagram, _ = load_diagram(path)
+        if diagram.rank != 3:
+            raise ValueError("the command line pipeline handles rank-3 diagrams only")
+    except (OSError, ValueError) as exc:
+        _fail(str(exc), EXIT_INPUT)
+        return None
     return diagram
 
 
+def _goodness(report) -> dict:
+    certificate = None
+    if not report.good:
+        certificate = {"failing_face": list(report.failing_face), "reason": report.reason}
+    return {"good": report.good, "certificate": certificate}
+
+
 def cmd_check(args) -> int:
-    try:
-        diagram = _load_rank3(args.path)
-    except (OSError, ValueError, DiagramError) as exc:
-        print(dumps({"error": str(exc), "tool": _tool_block()}), end="")
+    diagram = _load_rank3(args.path)
+    if diagram is None:
         return EXIT_INPUT
     report = is_good(diagram)
+    faces = enumerate_faces_3d(diagram)
     out = {
         "input": diagram_to_dict(diagram),
         "tool": _tool_block(),
-        "good": report.good,
-        "certificate": None
-        if report.good
-        else {"failing_face": list(report.failing_face), "reason": report.reason},
+        **_goodness(report),
         "faces": {
-            "facets": sum(1 for f in enumerate_faces_3d(diagram) if f.kind == "facet"),
-            "edges": sum(1 for f in enumerate_faces_3d(diagram) if f.kind == "edge"),
+            "facets": sum(1 for f in faces if f.kind == "facet"),
+            "edges": sum(1 for f in faces if f.kind == "edge"),
         },
     }
     print(dumps(out), end="")
@@ -204,22 +217,15 @@ def _write_scan_csv(diagram, result, directions, path) -> int:
 
 def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
-    try:
-        diagram = _load_rank3(args.path)
-    except (OSError, ValueError, DiagramError) as exc:
-        print(dumps({"error": str(exc), "tool": _tool_block()}), end="")
+    diagram = _load_rank3(args.path)
+    if diagram is None:
         return EXIT_INPUT
 
     stages: dict = {"validation": {"ok": True, "d": diagram.d, "rank": diagram.rank}}
     out = {"input": diagram_to_dict(diagram), "tool": _tool_block(), "stages": stages}
 
     good = is_good(diagram)
-    stages["goodness"] = {
-        "good": good.good,
-        "certificate": None
-        if good.good
-        else {"failing_face": list(good.failing_face), "reason": good.reason},
-    }
+    stages["goodness"] = _goodness(good)
     if not good.good:
         print(dumps(out), end="")
         return EXIT_NOT_GOOD
@@ -229,19 +235,19 @@ def cmd_analyze(args) -> int:
         if cy is None:
             stages["cy"] = {"present": False}
         else:
-            stage = {
+            A, transformed = normalize_height(diagram, cy)
+            # only the height is read, and the change of basis keeps it
+            kl = kernel_lattice(transformed, cy)
+            stages["cy"] = {
                 "present": True,
                 "gamma": [fraction_to_str(g) for g in cy.gamma],
                 "height": cy.height,
+                "normalizer": [list(r) for r in A.entries],
+                "normalized_normals": [list(v) for v in transformed.normals],
+                "kernel_rank": kl.rank,
+                "component_group": list(kl.component_group),
+                "row_sum_times_height_integral": kl.row_sum_times_height_integral,
             }
-            A, transformed = normalize_height(diagram, cy)
-            stage["normalizer"] = [list(r) for r in A.entries]
-            stage["normalized_normals"] = [list(v) for v in transformed.normals]
-            kl = kernel_lattice(transformed, compute_gamma(transformed))
-            stage["kernel_rank"] = kl.rank
-            stage["component_group"] = list(kl.component_group)
-            stage["row_sum_times_height_integral"] = kl.row_sum_times_height_integral
-            stages["cy"] = stage
 
     if args.topo:
         stages["topology"] = topology_report(diagram).to_json_dict()
@@ -286,24 +292,21 @@ def cmd_analyze(args) -> int:
                 stages["reeb"]["scan_csv"] = scan_path
                 stages["reeb"]["scan_points"] = npts
         except (SasakitError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            print(dumps({"error": f"numerical failure: {exc}", "tool": _tool_block()}), end="")
-            return EXIT_NUMERICAL
+            return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
 
     if args.potential_grid:
         grid_path = args.grid_out or "potential_grid.csv"
         try:
             npts = _write_grid_csv(diagram, args.potential_grid, grid_path)
         except SasakitError as exc:
-            print(dumps({"error": f"numerical failure: {exc}", "tool": _tool_block()}), end="")
-            return EXIT_NUMERICAL
+            return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
         stages["potential_grid"] = {"csv": grid_path, "points": npts}
 
     if args.emit_svg:
         try:
             _emit_svg(diagram, args.emit_svg)
         except (NotNormalized, ValueError) as exc:
-            print(dumps({"error": str(exc), "tool": _tool_block()}), end="")
-            return EXIT_INPUT
+            return _fail(str(exc), EXIT_INPUT)
         stages["svg"] = {"path": args.emit_svg}
 
     if args.timings:
@@ -313,26 +316,14 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_family(args) -> int:
-    builder = FAMILY_BUILDERS.get(args.family)
-    if builder is None:
-        print(dumps({"error": f"unknown family {args.family!r}"}), end="")
-        return EXIT_INPUT
+    builder, options = FAMILY_BUILDERS[args.family]
+    values = [getattr(args, name) for name in options]
     try:
-        if args.family == "lens":
-            if args.l is None:
-                raise ValueError("lens requires --l")
-            diagram = builder(args.l)
-        elif args.family == "non-cy":
-            if args.l is None:
-                raise ValueError("non-cy requires --l")
-            diagram = builder(args.l)
-        elif args.family == "z5-lens":
-            diagram = builder()
-        else:
-            if args.r is None or args.s is None:
-                raise ValueError(f"{args.family} requires --r and --s")
-            diagram = builder(args.r, args.s)
-    except (ValueError, DiagramError) as exc:
+        if None in values:
+            flags = " and ".join(f"--{name}" for name in options)
+            raise ValueError(f"{args.family} requires {flags}")
+        diagram = builder(*values)
+    except ValueError as exc:
         print(dumps({"error": str(exc)}), end="")
         return EXIT_INPUT
     print(dumps(diagram_to_dict(diagram)), end="")
@@ -340,10 +331,10 @@ def cmd_family(args) -> int:
 
 
 def cmd_geodesic_test(args) -> int:
-    try:
-        diagram = _load_rank3(args.path)
-    except (OSError, ValueError, DiagramError) as exc:
-        print(dumps({"error": str(exc), "tool": _tool_block()}), end="")
+    if not 0.0 < args.t < 1.0:
+        return _fail(f"--t must lie in (0, 1), got {args.t}", EXIT_INPUT)
+    diagram = _load_rank3(args.path)
+    if diagram is None:
         return EXIT_INPUT
     try:
         g0 = canonical_potential(diagram)
@@ -353,13 +344,8 @@ def cmd_geodesic_test(args) -> int:
             raise ArithmeticError("sample point leaves the bump domain")
         g1 = shifted_potential(g0, bump)
         g1_linear = shifted_potential(g0, LinearTerm([0.25] * diagram.rank, 0.0))
-        residuals = {}
-        for h in (1e-2, 5e-3, 2.5e-3):
-            residuals[format_float(h)] = format_float(
-                abs(geodesic_equation_residual(g0, g1, y, t=args.t, h=h))
-            )
-        vals = [abs(geodesic_equation_residual(g0, g1, y, t=args.t, h=h))
-                for h in (1e-2, 5e-3)]
+        steps = (1e-2, 5e-3, 2.5e-3)
+        vals = [abs(geodesic_equation_residual(g0, g1, y, t=args.t, h=h)) for h in steps]
         order = float(np.log2(vals[0] / vals[1])) if vals[1] > 0 else float("inf")
         out = {
             "input": diagram_to_dict(diagram),
@@ -369,15 +355,16 @@ def cmd_geodesic_test(args) -> int:
             "reeb_invariance_residual_bump": format_float(
                 reeb_invariance_residual(bump, y)
             ),
-            "geodesic_residuals": residuals,
+            "geodesic_residuals": {
+                format_float(h): format_float(v) for h, v in zip(steps, vals)
+            },
             "convergence_order": format_float(order),
             "linear_shift_residual": format_float(
                 abs(geodesic_equation_residual(g0, g1_linear, y, t=args.t, h=1e-3))
             ),
         }
     except (SasakitError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(dumps({"error": f"numerical failure: {exc}", "tool": _tool_block()}), end="")
-        return EXIT_NUMERICAL
+        return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
     print(dumps(out), end="")
     return EXIT_OK
 
@@ -409,9 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.set_defaults(func=cmd_analyze)
 
     p_fam = sub.add_parser("family", help="emit a built-in diagram family member")
-    p_fam.add_argument(
-        "family", choices=sorted(FAMILY_BUILDERS) + ["help"], metavar="FAMILY"
-    )
+    p_fam.add_argument("family", choices=sorted(FAMILY_BUILDERS), metavar="FAMILY")
     p_fam.add_argument("--l", type=int)
     p_fam.add_argument("--r", type=int)
     p_fam.add_argument("--s", type=int)

@@ -29,10 +29,10 @@ from .errors import (
 from .lattice import (
     IntVector,
     _as_int_vector,
-    is_primitive,
     make_primitive,
     rational_rank,
     sublattice_saturation_equal,
+    vector_gcd,
 )
 
 
@@ -154,9 +154,7 @@ def validate_diagram(normals, rank: int | None = None) -> ToricDiagram:
     if rank is not None and rank != m1:
         raise ValueError(f"declared rank {rank} does not match normal length {m1}")
     for i, v in enumerate(vecs):
-        if all(x == 0 for x in v):
-            raise NonPrimitiveNormal(i, v)
-        if not is_primitive(v):
+        if vector_gcd(v) != 1:  # the zero vector has gcd 0
             raise NonPrimitiveNormal(i, v)
     seen = {}
     for i, v in enumerate(vecs):
@@ -246,17 +244,11 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
         assert orient != 0
         if orient < 0:
             facet_cycle = [facet_cycle[0]] + facet_cycle[:0:-1]
-    # rays[i] is the ray shared by facet_cycle[i] and facet_cycle[i+1]
-    ordered_rays = []
-    for idx in range(len(facet_cycle)):
-        a = facet_cycle[idx]
-        b = facet_cycle[(idx + 1) % len(facet_cycle)]
-        shared = [r for r in facet_rays[a] if r in facet_rays[b]]
-        assert len(shared) == 1
-        ordered_rays.append(shared[0])
+            ray_cycle.reverse()
+    # ray_cycle[i] is the ray shared by facet_cycle[i] and facet_cycle[i+1]
     return ConeSkeleton(
-        rays=tuple(ordered_rays),
-        active=tuple(frozenset(rays[r]) for r in ordered_rays),
+        rays=tuple(ray_cycle),
+        active=tuple(frozenset(rays[r]) for r in ray_cycle),
         facet_cycle=tuple(facet_cycle),
         grazing=grazing,
         empty=empty,
@@ -346,20 +338,14 @@ def height1_points(diagram: ToricDiagram) -> list[tuple[int, int]]:
 def is_good_height1_3d(diagram: ToricDiagram) -> bool:
     """Goodness of a height-1 diagram from consecutive vertex differences.
 
-    Walking the cyclic (p, q) loop, each step must move by 1 in one
-    coordinate or by a coprime pair of nonzero amounts.
+    Walking the cyclic (p, q) loop, each step must be a primitive lattice
+    vector: it moves by 1 in one coordinate or by a coprime pair of nonzero
+    amounts.
     """
     pts = height1_points(diagram)
-    n = len(pts)
-    for k in range(n):
-        dp = pts[(k + 1) % n][0] - pts[k][0]
-        dq = pts[(k + 1) % n][1] - pts[k][1]
-        if abs(dp) == 1 or abs(dq) == 1:
-            continue
-        if dp != 0 and dq != 0 and gcd(abs(dp), abs(dq)) == 1:
-            continue
-        return False
-    return True
+    return all(
+        gcd(q[0] - p[0], q[1] - p[1]) == 1 for p, q in zip(pts, pts[1:] + pts[:1])
+    )
 
 
 def reeb_cone_contains(diagram: ToricDiagram, xi) -> bool:

@@ -57,14 +57,10 @@ def compute_gamma(diagram: ToricDiagram) -> CalabiYauData | None:
     The height is the lcm of the denominators of gamma; this automatically
     makes height*gamma primitive whenever integer normals admit a gamma.
     """
-    rows = [list(v) for v in diagram.normals]
-    rhs = [Fraction(-1)] * diagram.d
-    try:
-        gamma = tuple(solve_rational(rows, rhs))
-    except ValueError as exc:
-        if "inconsistent" in str(exc):
-            return None
-        raise
+    gamma = solve_rational(diagram.normals, [-1] * diagram.d)
+    if gamma is None:
+        return None
+    gamma = tuple(gamma)
     height = lcm(*(g.denominator for g in gamma)) if gamma else 1
     scaled = tuple(int(g * height) for g in gamma)
     assert is_primitive(scaled), "height*gamma must be primitive"
@@ -101,8 +97,7 @@ def kernel_lattice(
     on rational preimages of the standard lattice generators.  Pass cy=None
     to skip it (the field is then None).
     """
-    rows = [list(v) for v in diagram.normals]  # rank x d matrix, columns = normals
-    matrix = [list(col) for col in zip(*rows)]
+    matrix = [list(col) for col in zip(*diagram.normals)]  # rank x d, columns = normals
     basis = tuple(tuple(b) for b in rational_kernel_basis(matrix))
     snf = smith_normal_form(IntMatrix.from_columns(diagram.normals))
     component_group = snf.invariant_factors
@@ -115,45 +110,14 @@ def kernel_lattice(
                 "kernel integrality check requires normals with first component "
                 f"{ell}; run normalize_height first"
             )
-        row_sum_ok = all(sum(b) == 0 for b in basis)
-        if row_sum_ok:
-            for k in range(diagram.rank):
-                target = [Fraction(1 if i == k else 0) for i in range(diagram.rank)]
-                pre = _any_preimage(matrix, target)
-                total = ell * sum(pre)
-                if total.denominator != 1:
-                    row_sum_ok = False
-                    break
+        # one rational preimage of each standard generator, free variables 0
+        generators = IntMatrix.identity(diagram.rank).entries
+        row_sum_ok = all(sum(b) == 0 for b in basis) and all(
+            (ell * sum(solve_rational(matrix, e))).denominator == 1 for e in generators
+        )
     return KernelLattice(
         basis=basis,
         component_group=component_group,
         row_sum_times_height_integral=row_sum_ok,
     )
 
-
-def _any_preimage(matrix, target):
-    """One rational solution of matrix @ x = target (matrix is wide, full row rank)."""
-    rows = [list(map(Fraction, r)) + [Fraction(t)] for r, t in zip(matrix, target)]
-    ncols = len(matrix[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    assert r == len(rows), "normal matrix lost full rank"
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][-1]
-    return x

@@ -86,10 +86,11 @@ def main4_odd(r: int, s: int) -> ToricDiagram:
     return _height1(points)
 
 
+# each builder with the command-line options it takes, in call order
 FAMILY_BUILDERS = {
-    "lens": lens,
-    "non-cy": non_cy,
-    "z5-lens": z5_lens,
-    "main4-even": main4_even,
-    "main4-odd": main4_odd,
+    "lens": (lens, ("l",)),
+    "non-cy": (non_cy, ("l",)),
+    "z5-lens": (z5_lens, ()),
+    "main4-even": (main4_even, ("r", "s")),
+    "main4-odd": (main4_odd, ("r", "s")),
 }

@@ -93,19 +93,14 @@ class IntMatrix:
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact integer inverse; requires |det| = 1."""
-        d = self.det()
-        if d not in (1, -1):
-            raise ValueError(f"matrix is not unimodular (det = {d})")
-        n = self.rows
-        cols = []
-        for j in range(n):
-            e = [Fraction(1 if i == j else 0) for i in range(n)]
-            sol = solve_rational([list(map(Fraction, r)) for r in self.entries], e)
-            cols.append([int(x) for x in sol])
-        return IntMatrix.from_columns(cols)
-
-    def column(self, j: int) -> IntVector:
-        return tuple(r[j] for r in self.entries)
+        n = self.cols
+        identity = IntMatrix.identity(self.rows).entries
+        rows, pivots = rref([a + e for a, e in zip(self.entries, identity)], n)
+        inv = [row[n:] for row in rows]
+        # an integer matrix with an integer inverse has determinant +-1
+        if self.rows != n or len(pivots) < n or any(x.denominator != 1 for r in inv for x in r):
+            raise ValueError(f"matrix is not unimodular (det = {self.det()})")
+        return IntMatrix.from_rows(inv)
 
     def is_diagonal(self) -> bool:
         return all(
@@ -331,88 +326,69 @@ def sublattice_saturation_equal(vectors) -> bool:
 
 # --- exact rational elimination -------------------------------------------
 
-def solve_rational(a, b):
-    """Solve a @ x = b over Fraction.  Raises if singular or inconsistent.
+def rref(rows, ncols):
+    """Gauss-Jordan elimination over Fraction on the first `ncols` columns.
 
-    `a` is a list of rows; the system may be overdetermined as long as it is
-    consistent and of full column rank.
+    Columns past `ncols` (an augmented right-hand side) are carried along but
+    never pivoted on.  Columns are taken left to right, each pivoting on its
+    first nonzero row at or below the current rank; kernel bases, and the
+    Reeb slice frame built from them, depend on that column order.  Returns
+    the reduced rows and the pivot columns: reduced row i has its leading 1
+    in column pivots[i].
     """
-    rows = [list(map(Fraction, r)) + [Fraction(x)] for r, x in zip(a, b)]
-    ncols = len(a[0])
+    rows = [list(map(Fraction, r)) for r in rows]
     pivots = []
-    r = 0
     for c in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         inv = 1 / rows[r][c]
         rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        for i, row in enumerate(rows):
+            if i != r and row[c] != 0:
+                f = row[c]
+                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    if len(pivots) < ncols:
-        raise ValueError("system is rank deficient")
-    for i in range(r, len(rows)):
-        if rows[i][-1] != 0:
-            raise ValueError("system is inconsistent")
+    return rows, pivots
+
+
+def solve_rational(a, b):
+    """One solution of a @ x = b over Fraction, or None if there is none.
+
+    `a` is a list of rows.  Free variables of a rank-deficient system are
+    set to 0.
+    """
+    ncols = len(a[0])
+    rows, pivots = rref([list(r) + [x] for r, x in zip(a, b)], ncols)
+    if any(row[-1] != 0 for row in rows[len(pivots):]):
+        return None
     x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = rows[i][-1]
+    for row, c in zip(rows, pivots):
+        x[c] = row[-1]
     return x
 
 
 def rational_rank(a) -> int:
-    rows = [list(map(Fraction, r)) for r in a]
-    if not rows:
+    if not a:
         return 0
-    ncols = len(rows[0])
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    return len(rref(a, len(a[0]))[1])
 
 
 def rational_kernel_basis(a):
-    """Basis of the right kernel of `a` over Fraction."""
-    rows = [list(map(Fraction, r)) for r in a]
-    ncols = len(rows[0])
-    pivots = {}
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(rows)) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = 1 / rows[rank][c]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
-        pivots[c] = rank
-        rank += 1
+    """Basis of the right kernel of `a` over Fraction, one vector per free column."""
+    ncols = len(a[0])
+    rows, pivots = rref(a, ncols)
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for f in free:
+    for f in range(ncols):
+        if f in pivots:
+            continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
-        for c, r in pivots.items():
-            vec[c] = -rows[r][f]
+        for row, c in zip(rows, pivots):
+            vec[c] = -row[f]
         basis.append(vec)
     return basis

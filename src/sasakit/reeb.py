@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .cones import ToricDiagram, canonical_reeb, extreme_rays, reeb_cone_contains
+from .cones import ToricDiagram, _cross, _dot, canonical_reeb, extreme_rays, reeb_cone_contains
 from .cy import CalabiYauData
 from .errors import InfeasibleSlice, UnboundedRegion
 from .lattice import rational_kernel_basis
@@ -43,12 +43,20 @@ class TruncatedPolytope:
         return self.vertices[1:]
 
 
-def _det3(a, b, c):
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
+def _quotient(a: int, b):
+    """a / b, kept exact when b is an int or a Fraction."""
+    return Fraction(a) / b if isinstance(b, (int, Fraction)) else a / b
+
+
+def _ray_scales(diagram: ToricDiagram, xi):
+    """Extreme rays and their pairings with xi, all of which must be positive."""
+    rays = extreme_rays(diagram)
+    scales = [sum(r * x for r, x in zip(ray, xi)) for ray in rays]
+    if any(s <= 0 for s in scales):
+        raise UnboundedRegion(
+            "pairing vector is not interior to the Reeb cone; region unbounded"
+        )
+    return rays, scales
 
 
 def truncated_polytope(diagram: ToricDiagram, xi) -> TruncatedPolytope:
@@ -57,19 +65,11 @@ def truncated_polytope(diagram: ToricDiagram, xi) -> TruncatedPolytope:
     Raises UnboundedRegion when xi fails to pair positively with some
     extreme ray, in which case the slice does not bound the cone.
     """
-    rays = extreme_rays(diagram)
-    scales = [sum(r * x for r, x in zip(ray, xi)) for ray in rays]
-    if any(s <= 0 for s in scales):
-        raise UnboundedRegion(
-            "pairing vector is not interior to the Reeb cone; region unbounded"
-        )
+    rays, scales = _ray_scales(diagram, xi)
     origin = tuple(0 * x for x in xi)
     verts = [origin]
     for ray, s in zip(rays, scales):
-        if isinstance(s, (int, Fraction)):
-            verts.append(tuple(Fraction(r, 1) / s for r in ray))
-        else:
-            verts.append(tuple(r / s for r in ray))
+        verts.append(tuple(_quotient(r, s) for r in ray))
     return TruncatedPolytope(vertices=tuple(verts))
 
 
@@ -79,7 +79,7 @@ def _fan_triangles(diagram: ToricDiagram):
     rays = extreme_rays(diagram)
     tris = []
     for j in range(1, len(rays) - 1):
-        det = _det3(rays[0], rays[j], rays[j + 1])
+        det = _dot(rays[0], _cross(rays[j], rays[j + 1]))
         tris.append(((rays[0], rays[j], rays[j + 1]), det))
     assert tris and all(d != 0 for _, d in tris)
     sign = 1 if tris[0][1] > 0 else -1
@@ -92,19 +92,12 @@ def volume(diagram: ToricDiagram, xi):
 
     Homogeneous of degree -rank in xi.
     """
-    rays = extreme_rays(diagram)
-    scales = [sum(r * x for r, x in zip(ray, xi)) for ray in rays]
-    if any(s <= 0 for s in scales):
-        raise UnboundedRegion("pairing vector is not interior to the Reeb cone")
+    rays, scales = _ray_scales(diagram, xi)
     tris, sign = _fan_triangles(diagram)
     scale_of = dict(zip(rays, scales))
     total = 0
     for (a, b, c), det in tris:
-        den = scale_of[a] * scale_of[b] * scale_of[c]
-        if isinstance(den, (int, Fraction)):
-            total += Fraction(det) / den
-        else:
-            total += det / den
+        total += _quotient(det, scale_of[a] * scale_of[b] * scale_of[c])
     total = sign * total
     return total / 6
 
@@ -159,12 +152,6 @@ def _slice_frame(diagram: ToricDiagram, cy: CalabiYauData):
     return x0, q
 
 
-def _interior(diagram: ToricDiagram, xi: np.ndarray) -> bool:
-    return all(
-        float(np.dot(np.array(r, dtype=float), xi)) > 0 for r in extreme_rays(diagram)
-    )
-
-
 def minimize_volume(
     diagram: ToricDiagram,
     cy: CalabiYauData,
@@ -187,7 +174,7 @@ def minimize_volume(
     t = np.zeros(frame.shape[1])
     if start_offset is not None:
         t = t + np.asarray(start_offset, dtype=float)
-        while not _interior(diagram, x0 + frame @ t):
+        while not reeb_cone_contains(diagram, x0 + frame @ t):
             t *= 0.5
     if optimizer == "newton":
         t, iters, converged = _newton_on_slice(diagram, x0, frame, t, tol)
@@ -231,7 +218,7 @@ def _newton_on_slice(diagram, x0, frame, t, tol, max_iter=200):
         alpha = 1.0
         for _ in range(80):
             cand = t + alpha * step
-            if _interior(diagram, x0 + frame @ cand):
+            if reeb_cone_contains(diagram, x0 + frame @ cand):
                 fc = np.log(_volume_derivatives(diagram, x0 + frame @ cand)[0])
                 if fc <= f + 1e-4 * alpha * (gf @ step):
                     t = cand
@@ -260,7 +247,7 @@ def _gradient_on_slice(diagram, x0, frame, t, tol, max_iter=20000):
             alpha = min(max(alpha, 1e-12), 1e8)
         while True:
             cand = t - alpha * gf
-            if _interior(diagram, x0 + frame @ cand):
+            if reeb_cone_contains(diagram, x0 + frame @ cand):
                 fc = np.log(_volume_derivatives(diagram, x0 + frame @ cand)[0])
                 if fc <= f - 1e-4 * alpha * (gf @ gf):
                     break

@@ -12,6 +12,7 @@ from fractions import Fraction
 
 from .cones import ToricDiagram, validate_diagram
 from .cy import CalabiYauData
+from .errors import DiagramError
 
 FLOAT_FORMAT = "%.12g"
 PRECISION = 12
@@ -40,19 +41,43 @@ def diagram_to_dict(diagram: ToricDiagram, cy: CalabiYauData | None = None) -> d
     return out
 
 
-def diagram_from_dict(data: dict) -> tuple[ToricDiagram, CalabiYauData | None]:
+def _is_int(x) -> bool:
+    # JSON true/false arrive as bool, a subclass of int
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _gamma_entry(s) -> Fraction:
+    try:
+        return fraction_from_str(s)
+    except (ValueError, ZeroDivisionError):
+        raise DiagramError(f'"gamma" entries must be rationals like "-1/2", got {s!r}') from None
+
+
+def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
+    """Diagram (and optional height data) from parsed JSON; DiagramError if malformed."""
+    if not isinstance(data, dict):
+        raise DiagramError(f"diagram JSON must be an object, got {type(data).__name__}")
     if "normals" not in data:
-        raise ValueError('diagram JSON needs a "normals" field')
+        raise DiagramError('diagram JSON needs a "normals" field')
     normals = data["normals"]
+    if not isinstance(normals, list) or not all(isinstance(row, list) for row in normals):
+        raise DiagramError('"normals" must be a list of integer lists')
     for row in normals:
         for x in row:
-            if not isinstance(x, int):
-                raise ValueError(f"normal entries must be exact integers, got {x!r}")
-    diagram = validate_diagram(normals, rank=data.get("rank"))
+            if not _is_int(x):
+                raise DiagramError(f"normal entries must be exact integers, got {x!r}")
+    rank = data.get("rank")
+    if rank is not None and not _is_int(rank):
+        raise DiagramError(f'"rank" must be an integer, got {rank!r}')
+    diagram = validate_diagram(normals, rank=rank)
     cy = None
     if "gamma" in data:
-        gamma = tuple(fraction_from_str(s) for s in data["gamma"])
-        height = int(data.get("height", 1))
+        if not isinstance(data["gamma"], list):
+            raise DiagramError('"gamma" must be a list of rationals like "-1/2"')
+        gamma = tuple(_gamma_entry(s) for s in data["gamma"])
+        height = data.get("height", 1)
+        if not _is_int(height):
+            raise DiagramError(f'"height" must be an integer, got {height!r}')
         cy = CalabiYauData(gamma=gamma, height=height)
     return diagram, cy
 

@@ -77,9 +77,12 @@ def identify_5d(diagram: ToricDiagram) -> str:
     3-torus action; outside that regime only the lens-type cyclic case is
     labeled and anything else is reported as unknown.
     """
-    pi1 = fundamental_group(diagram)
+    return _label(fundamental_group(diagram), diagram.d)
+
+
+def _label(pi1: tuple[int, ...], d: int) -> str:
     if not pi1:
-        k = diagram.d - 3
+        k = d - 3
         if k == 0:
             return "S^5"
         return f"S^5 # {k}(S^2 x S^3)"
@@ -95,13 +98,13 @@ def topology_report(diagram: ToricDiagram) -> TopologyReport:
     b2 = diagram.d - 3 if diagram.rank == 3 else None
     try:
         area2 = area_invariant_times_2(diagram)
-    except Exception:
+    except ValueError:  # not a strictly convex height-1 diagram
         area2 = None
     return TopologyReport(
         pi1_invariant_factors=pi1,
         b2=b2,
         area_times_2=area2,
-        identification=identify_5d(diagram),
+        identification=_label(pi1, diagram.d),
     )
 
 

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from sasakit.cli import main
 from sasakit.serialize import diagram_to_dict, dumps, load_diagram
 from sasakit import lens, non_cy
@@ -186,3 +188,48 @@ def test_diagram_roundtrip_through_json(tmp_path):
     loaded, cy = load_diagram(str(path))
     assert loaded.normals == d.normals
     assert cy is None
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5", "must be an object"),
+        ('{"normals": 5}', '"normals" must be a list'),
+        ('{"normals": [[1, 0, 0], 5, [0, 0, 1]]}', '"normals" must be a list'),
+        ('{"normals": [[true, 0, 0], [0, 1, 0], [0, 0, 1]]}', "exact integers, got True"),
+        ('{"rank": "3", "normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}', '"rank" must be'),
+        ('{"normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "gamma": ["1/0"]}', "'1/0'"),
+        ('{"normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "gamma": ["x", "1", "1"]}', "'x'"),
+        ('{"normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "gamma": "-1"}', '"gamma" must be'),
+        (
+            '{"normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], '
+            '"gamma": ["-1", "-1", "-1"], "height": "1"}',
+            '"height" must be',
+        ),
+    ],
+    ids=[
+        "top-level-int", "normals-int", "row-int", "bool-entry", "rank-str",
+        "gamma-zero-denominator", "gamma-garbage", "gamma-str", "height-str",
+    ],
+)
+def test_check_malformed_diagram_json_is_input_error(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out = run(capsys, ["check", str(path)])
+    assert code == 1
+    assert message in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("t", ["0", "1"])
+def test_geodesic_test_t_outside_open_interval_is_input_error(tmp_path, capsys, t):
+    path = write_diagram(tmp_path, "octant.json", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    code, out = run(capsys, ["geodesic-test", path, "--t", t])
+    assert code == 1
+    assert "--t must lie in (0, 1)" in json.loads(out)["error"]
+
+
+def test_family_help_is_an_unknown_family(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "help"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
