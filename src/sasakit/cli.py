@@ -217,6 +217,13 @@ def _write_scan_csv(diagram, result, directions, path) -> int:
 
 def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
+
+    def _emit(out, code):
+        if args.timings:
+            out["timing_seconds"] = time.perf_counter() - t_start
+        print(dumps(out), end="")
+        return code
+
     diagram = _load_rank3(args.path)
     if diagram is None:
         return EXIT_INPUT
@@ -227,8 +234,7 @@ def cmd_analyze(args) -> int:
     good = is_good(diagram)
     stages["goodness"] = _goodness(good)
     if not good.good:
-        print(dumps(out), end="")
-        return EXIT_NOT_GOOD
+        return _emit(out, EXIT_NOT_GOOD)
 
     cy = compute_gamma(diagram)
     if args.cy:
@@ -257,8 +263,7 @@ def cmd_analyze(args) -> int:
             stages["reeb"] = {
                 "error": "no toric diagram structure; c1(D) = 0 fails"
             }
-            print(dumps(out), end="")
-            return EXIT_NO_CY
+            return _emit(out, EXIT_NO_CY)
         try:
             seed = int(os.environ.get("SASAKIT_SEED", "0"))
             rng = random.Random(seed)
@@ -309,10 +314,7 @@ def cmd_analyze(args) -> int:
             return _fail(str(exc), EXIT_INPUT)
         stages["svg"] = {"path": args.emit_svg}
 
-    if args.timings:
-        out["timing_seconds"] = time.perf_counter() - t_start
-    print(dumps(out), end="")
-    return EXIT_OK
+    return _emit(out, EXIT_OK)
 
 
 def cmd_family(args) -> int:

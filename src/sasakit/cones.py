@@ -85,8 +85,9 @@ def _cross(a, b) -> IntVector:
 def _fm_feasible(constraints, nvars):
     """Witness for the system <c, y> >= r, or None if infeasible.
 
-    Small-scale Fourier-Motzkin over Fraction; adequate for the handful of
-    variables and a few dozen constraints this package ever sees.
+    Small-scale Fourier-Motzkin over Fraction.  It is the package's single
+    interior test, at every rank, and runs once per diagram: `interior_point`
+    caches it for validation and the rank-3 skeleton alike.
     """
     levels = [[(tuple(map(Fraction, c)), Fraction(r)) for c, r in constraints]]
     for k in range(nvars - 1, -1, -1):
@@ -129,8 +130,9 @@ def _fm_feasible(constraints, nvars):
     return witness
 
 
+@lru_cache(maxsize=256)
 def interior_point(diagram: ToricDiagram):
-    """A rational point strictly inside the cone."""
+    """A rational point y with <y, lambda_i> >= 1 for every normal."""
     w = _fm_feasible([(lam, 1) for lam in diagram.normals], diagram.rank)
     if w is None:
         raise EmptyInterior()
@@ -161,12 +163,12 @@ def validate_diagram(normals, rank: int | None = None) -> ToricDiagram:
         if v in seen:
             raise RedundantNormal(i, v)
         seen[v] = i
-    if _fm_feasible([(v, 1) for v in vecs], m1) is None:
-        raise EmptyInterior()
+    diagram = ToricDiagram(rank=m1, normals=tuple(vecs))
+    interior_point(diagram)  # raises EmptyInterior
     found = rational_rank(vecs)
     if found < m1:
         raise DegenerateCone(m1, found)
-    return ToricDiagram(rank=m1, normals=tuple(vecs))
+    return diagram
 
 
 # --- face skeleton at rank 3 --------------------------------------------------
@@ -177,9 +179,11 @@ class ConeSkeleton:
 
     rays: primitive generators, in cyclic order; active[j] is the set of
     normal indices vanishing on rays[j].  rays[i] is shared by the facets of
-    facet_cycle[i] and facet_cycle[i+1] (cyclically).  Normals in `grazing`
-    touch the cone only along a ray; normals in `empty` touch it only at the
-    apex.
+    facet_cycle[i] and facet_cycle[i+1] (cyclically).  The cycle starts at
+    its smallest index and runs counterclockwise: det(lambda_c0, lambda_c1,
+    sum of its normals) > 0.  Normals in `grazing` touch the cone only along
+    a ray; normals in `empty` touch it only at the apex.  Computed by
+    `cone_skeleton` from one convex hull.
     """
 
     rays: tuple[IntVector, ...]
@@ -191,67 +195,55 @@ class ConeSkeleton:
 
 @lru_cache(maxsize=256)
 def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
+    """The skeleton from one exact convex hull of the normals.
+
+    Seen from the interior witness w, the normals are points of the plane
+    <w, y> = 1; their hull vertices are the true facets and its edges the
+    extreme rays.  Cost: one Fourier-Motzkin witness (shared with
+    validation), an O(d log d) sort, and O(h*d) integer dot products for
+    h extreme rays.
+    """
     if diagram.rank != 3:
         raise ValueError("face enumeration is implemented for rank 3 only")
     normals = diagram.normals
-    rays: dict[IntVector, set] = {}
-    for i, j in itertools.combinations(range(len(normals)), 2):
-        v = _cross(normals[i], normals[j])
-        if all(x == 0 for x in v):
-            continue
-        v = make_primitive(v)
-        for cand in (v, tuple(-x for x in v)):
-            prods = [_dot(cand, lam) for lam in normals]
-            if all(p >= 0 for p in prods):
-                rays[cand] = {k for k, p in enumerate(prods) if p == 0}
-                break
-    if len(rays) < 3:
-        # a validated diagram always has at least 3 extreme rays
-        raise DegenerateCone(3, 2)
+    w = interior_point(diagram)
+    k = next(i for i, x in enumerate(w) if x != 0)
+    a, b = (k + 1) % 3, (k + 2) % 3  # w_k != 0: these two coordinates chart the plane
 
-    facet_rays: dict[int, list[IntVector]] = {}
-    for r, act in rays.items():
-        for i in act:
-            facet_rays.setdefault(i, []).append(r)
-    true_facets = {i for i, rs in facet_rays.items() if len(rs) == 2}
-    grazing = tuple(sorted(i for i, rs in facet_rays.items() if len(rs) == 1))
-    empty = tuple(sorted(set(range(len(normals))) - set(facet_rays)))
+    def chart(i):
+        s = _dot(w, normals[i])
+        return normals[i][a] / s, normals[i][b] / s
 
-    # walk the polygon: every extreme ray joins exactly two true facets
-    ray_facets = {
-        r: sorted(i for i in act if i in true_facets) for r, act in rays.items()
-    }
-    assert all(len(fs) == 2 for fs in ray_facets.values())
-    start = min(true_facets)
-    first_ray = min(facet_rays[start])
-    facet_cycle = [start]
-    ray_cycle = [first_ray]
-    while True:
-        cur_facet = facet_cycle[-1]
-        cur_ray = ray_cycle[-1]
-        nxt_facet = next(i for i in ray_facets[cur_ray] if i != cur_facet)
-        if nxt_facet == start:
-            break
-        nxt_ray = next(r for r in facet_rays[nxt_facet] if r != cur_ray)
-        facet_cycle.append(nxt_facet)
-        ray_cycle.append(nxt_ray)
-    # fix orientation: counterclockwise as seen from the dual interior point
-    w = [0, 0, 0]
-    for i in true_facets:
-        w = [a + b for a, b in zip(w, normals[i])]
-    if len(facet_cycle) >= 3:
-        orient = _dot(_cross(normals[facet_cycle[0]], normals[facet_cycle[1]]), w)
-        assert orient != 0
-        if orient < 0:
-            facet_cycle = [facet_cycle[0]] + facet_cycle[:0:-1]
-            ray_cycle.reverse()
-    # ray_cycle[i] is the ray shared by facet_cycle[i] and facet_cycle[i+1]
+    # Andrew's monotone chain, strict left turns only.  The sort is just a
+    # sweep of the plane; the integer det3 test alone fixes the orientation.
+    def chain(order):
+        out = []
+        for i in order:
+            while len(out) >= 2 and _dot(
+                _cross(normals[out[-2]], normals[out[-1]]), normals[i]
+            ) <= 0:
+                out.pop()
+            out.append(i)
+        return out[:-1]
+
+    order = sorted(range(len(normals)), key=chart)
+    hull = chain(order) + chain(reversed(order))
+    # counterclockwise, so det3(normals[c0], normals[c1], sum of hull normals) > 0
+    first = hull.index(min(hull))
+    facet_cycle = hull[first:] + hull[:first]
+    # rays[i] is shared by facet_cycle[i] and facet_cycle[i+1]
+    rays = [
+        make_primitive(_cross(normals[i], normals[j]))
+        for i, j in zip(facet_cycle, facet_cycle[1:] + facet_cycle[:1])
+    ]
+    active = [frozenset(n for n, lam in enumerate(normals) if _dot(r, lam) == 0) for r in rays]
+    touching = set().union(*active)
     return ConeSkeleton(
-        rays=tuple(ray_cycle),
-        active=tuple(frozenset(rays[r]) for r in ray_cycle),
+        rays=tuple(rays),
+        active=tuple(active),
         facet_cycle=tuple(facet_cycle),
-        grazing=grazing,
-        empty=empty,
+        grazing=tuple(sorted(touching - set(hull))),
+        empty=tuple(sorted(set(range(len(normals))) - touching)),
     )
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .cones import ToricDiagram, validate_diagram
+from .cones import ToricDiagram
 from .errors import NotNormalized
 from .lattice import (
     IntMatrix,
@@ -81,8 +81,8 @@ def normalize_height(
     at_inv = A.inverse_unimodular().transpose()
     new_normals = [at_inv.mul_vector(v) for v in diagram.normals]
     assert all(v[0] == cy.height for v in new_normals)
-    transformed = validate_diagram(new_normals)
-    return A, transformed
+    # a unimodular image of a validated diagram is valid: no second Fourier-Motzkin
+    return A, ToricDiagram(rank=diagram.rank, normals=tuple(new_normals))
 
 
 def kernel_lattice(

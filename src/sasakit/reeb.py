@@ -75,16 +75,14 @@ def truncated_polytope(diagram: ToricDiagram, xi) -> TruncatedPolytope:
 
 @lru_cache(maxsize=256)
 def _fan_triangles(diagram: ToricDiagram):
-    """Integer ray triples fanning the cap polygon, with their determinants."""
+    """det(rays[0], rays[j], rays[j+1]) for the triangles fanning the cap polygon.
+
+    Entry j-1 belongs to the triangle of rays 0, j and j+1, for j = 1 .. h-2.
+    """
     rays = extreme_rays(diagram)
-    tris = []
-    for j in range(1, len(rays) - 1):
-        det = _dot(rays[0], _cross(rays[j], rays[j + 1]))
-        tris.append(((rays[0], rays[j], rays[j + 1]), det))
-    assert tris and all(d != 0 for _, d in tris)
-    sign = 1 if tris[0][1] > 0 else -1
-    assert all((d > 0) == (sign > 0) for _, d in tris)
-    return tuple(tris), sign
+    dets = tuple(_dot(rays[0], _cross(rays[j], rays[j + 1])) for j in range(1, len(rays) - 1))
+    assert dets and all(det > 0 for det in dets)  # the skeleton's rays run counterclockwise
+    return dets
 
 
 def volume(diagram: ToricDiagram, xi):
@@ -92,29 +90,26 @@ def volume(diagram: ToricDiagram, xi):
 
     Homogeneous of degree -rank in xi.
     """
-    rays, scales = _ray_scales(diagram, xi)
-    tris, sign = _fan_triangles(diagram)
-    scale_of = dict(zip(rays, scales))
+    _, scales = _ray_scales(diagram, xi)
     total = 0
-    for (a, b, c), det in tris:
-        total += _quotient(det, scale_of[a] * scale_of[b] * scale_of[c])
-    total = sign * total
+    for j, det in enumerate(_fan_triangles(diagram), 1):
+        total += _quotient(det, scales[0] * scales[j] * scales[j + 1])
     return total / 6
 
 
 def _volume_derivatives(diagram: ToricDiagram, xi: np.ndarray):
     """(V, grad V, Hess V) at a float point strictly inside the Reeb cone."""
-    tris, sign = _fan_triangles(diagram)
+    rays = extreme_rays(diagram)
     n = len(xi)
     val = 0.0
     grad = np.zeros(n)
     hess = np.zeros((n, n))
-    for (ra, rb, rc), det in tris:
-        r = np.array([ra, rb, rc], dtype=float)
+    for j, det in enumerate(_fan_triangles(diagram), 1):
+        r = np.array([rays[0], rays[j], rays[j + 1]], dtype=float)
         s = r @ xi
         if np.any(s <= 0):
             raise UnboundedRegion("point left the open Reeb cone")
-        term = sign * det / (s[0] * s[1] * s[2])
+        term = det / (s[0] * s[1] * s[2])
         u = (r / s[:, None]).sum(axis=0)  # sum of r_v / s_v
         val += term
         grad -= term * u

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .cones import ToricDiagram, validate_diagram
-from .cy import CalabiYauData
+from .cy import CalabiYauData, compute_gamma
 from .errors import DiagramError
 
 FLOAT_FORMAT = "%.12g"
@@ -54,7 +54,10 @@ def _gamma_entry(s) -> Fraction:
 
 
 def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
-    """Diagram (and optional height data) from parsed JSON; DiagramError if malformed."""
+    """Diagram (and optional height data) from parsed JSON; DiagramError if malformed.
+
+    A given "gamma" and "height" must be the diagram's own (`cy.compute_gamma`).
+    """
     if not isinstance(data, dict):
         raise DiagramError(f"diagram JSON must be an object, got {type(data).__name__}")
     if "normals" not in data:
@@ -78,7 +81,12 @@ def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
         height = data.get("height", 1)
         if not _is_int(height):
             raise DiagramError(f'"height" must be an integer, got {height!r}')
-        cy = CalabiYauData(gamma=gamma, height=height)
+        cy = compute_gamma(diagram)
+        if cy is None:
+            raise DiagramError('"gamma" given, but no covector pairs to -1 with every normal')
+        if (gamma, height) != (cy.gamma, cy.height):
+            want = [fraction_to_str(g) for g in cy.gamma]
+            raise DiagramError(f'"gamma" and "height" must be {want} and {cy.height}')
     return diagram, cy
 
 

@@ -9,8 +9,9 @@ from math import gcd
 
 import numpy as np
 
-from sasakit import canonical_reeb, truncated_polytope, validate_diagram
-from sasakit.lattice import IntMatrix
+from sasakit import DegenerateCone, canonical_reeb, truncated_polytope, validate_diagram
+from sasakit.cones import ConeSkeleton, ToricDiagram, _cross, _dot
+from sasakit.lattice import IntMatrix, IntVector, make_primitive
 
 
 def octant():
@@ -167,3 +168,72 @@ def saturation_box_oracle(vectors, box=10):
         if coeffs is not None and any(c.denominator != 1 for c in coeffs):
             return False
     return True
+
+
+def skeleton_oracle(diagram: ToricDiagram) -> ConeSkeleton:
+    """The all-pairs skeleton: every pair cross product tested against every normal.
+
+    O(d^3) reference for `cones.cone_skeleton`, kept as its test oracle.
+    """
+    if diagram.rank != 3:
+        raise ValueError("face enumeration is implemented for rank 3 only")
+    normals = diagram.normals
+    rays: dict[IntVector, set] = {}
+    for i, j in itertools.combinations(range(len(normals)), 2):
+        v = _cross(normals[i], normals[j])
+        if all(x == 0 for x in v):
+            continue
+        v = make_primitive(v)
+        for cand in (v, tuple(-x for x in v)):
+            prods = [_dot(cand, lam) for lam in normals]
+            if all(p >= 0 for p in prods):
+                rays[cand] = {k for k, p in enumerate(prods) if p == 0}
+                break
+    if len(rays) < 3:
+        # a validated diagram always has at least 3 extreme rays
+        raise DegenerateCone(3, 2)
+
+    facet_rays: dict[int, list[IntVector]] = {}
+    for r, act in rays.items():
+        for i in act:
+            facet_rays.setdefault(i, []).append(r)
+    true_facets = {i for i, rs in facet_rays.items() if len(rs) == 2}
+    grazing = tuple(sorted(i for i, rs in facet_rays.items() if len(rs) == 1))
+    empty = tuple(sorted(set(range(len(normals))) - set(facet_rays)))
+
+    # walk the polygon: every extreme ray joins exactly two true facets
+    ray_facets = {
+        r: sorted(i for i in act if i in true_facets) for r, act in rays.items()
+    }
+    assert all(len(fs) == 2 for fs in ray_facets.values())
+    start = min(true_facets)
+    first_ray = min(facet_rays[start])
+    facet_cycle = [start]
+    ray_cycle = [first_ray]
+    while True:
+        cur_facet = facet_cycle[-1]
+        cur_ray = ray_cycle[-1]
+        nxt_facet = next(i for i in ray_facets[cur_ray] if i != cur_facet)
+        if nxt_facet == start:
+            break
+        nxt_ray = next(r for r in facet_rays[nxt_facet] if r != cur_ray)
+        facet_cycle.append(nxt_facet)
+        ray_cycle.append(nxt_ray)
+    # fix orientation: counterclockwise as seen from the dual interior point
+    w = [0, 0, 0]
+    for i in true_facets:
+        w = [a + b for a, b in zip(w, normals[i])]
+    if len(facet_cycle) >= 3:
+        orient = _dot(_cross(normals[facet_cycle[0]], normals[facet_cycle[1]]), w)
+        assert orient != 0
+        if orient < 0:
+            facet_cycle = [facet_cycle[0]] + facet_cycle[:0:-1]
+            ray_cycle.reverse()
+    # ray_cycle[i] is the ray shared by facet_cycle[i] and facet_cycle[i+1]
+    return ConeSkeleton(
+        rays=tuple(ray_cycle),
+        active=tuple(frozenset(rays[r]) for r in ray_cycle),
+        facet_cycle=tuple(facet_cycle),
+        grazing=grazing,
+        empty=empty,
+    )

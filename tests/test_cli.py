@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from sasakit.cli import main
+from sasakit.cy import compute_gamma
+from sasakit.errors import DiagramError
 from sasakit.serialize import diagram_to_dict, dumps, load_diagram
 from sasakit import lens, non_cy
 
@@ -95,6 +97,14 @@ def test_analyze_not_good_exits_2(tmp_path, capsys):
     path = write_diagram(tmp_path, "bad.json", [(1, 0, 0), (1, 2, 4), (1, 1, 4)])
     code, out = run(capsys, ["analyze", path, "--topo"])
     assert code == 2
+
+
+@pytest.mark.parametrize("flags, timed", [([], False), (["--timings"], True)])
+def test_analyze_not_good_reports_timing_only_when_asked(tmp_path, capsys, flags, timed):
+    path = write_diagram(tmp_path, "bad.json", [(1, 0, 0), (1, 2, 4), (1, 1, 4)])
+    code, out = run(capsys, ["analyze", path, "--topo"] + flags)
+    assert code == 2
+    assert ("timing_seconds" in json.loads(out)) == timed
 
 
 def test_analyze_deterministic_bytes(tmp_path, capsys):
@@ -190,6 +200,25 @@ def test_diagram_roundtrip_through_json(tmp_path):
     assert cy is None
 
 
+def test_load_diagram_checks_gamma_and_height(tmp_path):
+    path = tmp_path / "d.json"
+    lens2 = compute_gamma(lens(2))
+    path.write_text(dumps(diagram_to_dict(lens(2), lens2)))
+    assert load_diagram(str(path))[1] == lens2
+    octant = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    for gamma, height in [
+        (["5"], -3),  # wrong length, pairing and height
+        (["-1", "-1", "1"], 1),  # pairs to 1 with the last normal
+        (["-1", "-1", "-1"], 2),  # right covector, wrong height
+    ]:
+        path.write_text(json.dumps({"normals": octant, "gamma": gamma, "height": height}))
+        with pytest.raises(DiagramError, match='"gamma" and "height" must be'):
+            load_diagram(str(path))
+    path.write_text(json.dumps({**diagram_to_dict(non_cy(2)), "gamma": ["-1", "-1", "-1"]}))
+    with pytest.raises(DiagramError, match="no covector"):
+        load_diagram(str(path))
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -206,10 +235,15 @@ def test_diagram_roundtrip_through_json(tmp_path):
             '"gamma": ["-1", "-1", "-1"], "height": "1"}',
             '"height" must be',
         ),
+        (
+            '{"normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "gamma": ["5"], "height": -3}',
+            '"gamma" and "height" must be',
+        ),
     ],
     ids=[
         "top-level-int", "normals-int", "row-int", "bool-entry", "rank-str",
         "gamma-zero-denominator", "gamma-garbage", "gamma-str", "height-str",
+        "gamma-mismatch",
     ],
 )
 def test_check_malformed_diagram_json_is_input_error(tmp_path, capsys, text, message):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from sasakit import (
     DegenerateCone,
@@ -22,7 +23,16 @@ from sasakit import (
     z5_lens,
 )
 
-from helpers import octant, random_convex_height1_diagram, random_sl3, transform_normals
+from sasakit.cones import cone_skeleton
+from sasakit.lattice import make_primitive, rational_rank
+
+from helpers import (
+    octant,
+    random_convex_height1_diagram,
+    random_sl3,
+    skeleton_oracle,
+    transform_normals,
+)
 
 
 # --- validation ---------------------------------------------------------------
@@ -152,6 +162,59 @@ def test_edges_join_cyclically_adjacent_facets():
             a = cycle[pos]
             b = cycle[(pos + 1) % len(cycle)]
             assert act == frozenset({a, b})
+
+
+# --- the hull skeleton against the all-pairs oracle ------------------------------
+
+@st.composite
+def box_diagrams(draw):
+    """Primitive normals in a small box, paired positively with (1, 1, 1).
+
+    Many points in a small box give redundant normals: some on hull edges
+    (grazing), some inside the hull (empty).
+    """
+    vecs = draw(
+        st.lists(
+            st.tuples(*[st.integers(-2, 2)] * 3).filter(lambda v: sum(v) > 0),
+            min_size=3,
+            max_size=14,
+        )
+    )
+    vecs = list(dict.fromkeys(make_primitive(v) for v in vecs))
+    assume(len(vecs) >= 3 and rational_rank(vecs) == 3)
+    return validate_diagram(vecs)
+
+
+@st.composite
+def height1_diagrams(draw):
+    d = random_convex_height1_diagram(draw(st.randoms(use_true_random=False)))
+    assume(d is not None)
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(box_diagrams(), height1_diagrams()),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+def test_hull_skeleton_matches_all_pairs_oracle(d, shear, rng):
+    if shear:
+        d = transform_normals(d, random_sl3(rng))
+    assert cone_skeleton(d) == skeleton_oracle(d)
+
+
+def test_grazing_normal_touches_one_ray():
+    # (1, 1, 0) vanishes on the ray (0, 0, 1) of the octant and nowhere else
+    d = validate_diagram([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)])
+    sk = cone_skeleton(d)
+    assert sk == skeleton_oracle(d)
+    assert sk.facet_cycle == (0, 1, 2)
+    assert sk.rays == ((0, 0, 1), (1, 0, 0), (0, 1, 0))
+    assert sk.active[0] == frozenset({0, 1, 3})
+    assert sk.grazing == (3,) and sk.empty == ()
+    grazing_facet = [f for f in enumerate_faces_3d(d) if f.indices == (3,)]
+    assert [f.witness for f in grazing_facet] == [(0, 0, 1)]
 
 
 def test_facet_witnesses_lie_on_their_facet():
