@@ -42,6 +42,7 @@ from .lattice import (
     IntMatrix,
     SnfDecomposition,
     complete_to_unimodular,
+    invariant_factors,
     is_primitive,
     smith_normal_form,
     sublattice_saturation_equal,

@@ -330,9 +330,8 @@ def height1_points(diagram: ToricDiagram) -> list[tuple[int, int]]:
 def is_good_height1_3d(diagram: ToricDiagram) -> bool:
     """Goodness of a height-1 diagram from consecutive vertex differences.
 
-    Walking the cyclic (p, q) loop, each step must be a primitive lattice
-    vector: it moves by 1 in one coordinate or by a coprime pair of nonzero
-    amounts.
+    Walking the cyclic (p, q) loop, each step (dp, dq) must be a primitive
+    lattice vector, gcd(dp, dq) = 1.
     """
     pts = height1_points(diagram)
     return all(

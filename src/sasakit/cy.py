@@ -18,11 +18,13 @@ from .errors import NotNormalized
 from .lattice import (
     IntMatrix,
     complete_to_unimodular,
+    invariant_factors,
     is_primitive,
-    rational_kernel_basis,
-    smith_normal_form,
+    kernel_basis_from_rref,
+    rref,
     solve_rational,
 )
+from .lattice import smith_normal_form  # noqa: F401  perfbench/tracing.py patches this name
 
 
 @dataclass(frozen=True)
@@ -96,11 +98,23 @@ def kernel_lattice(
     times the coordinate sum be an integer both on the kernel subspace and
     on rational preimages of the standard lattice generators.  Pass cy=None
     to skip it (the field is then None).
+
+    Cost: one Fraction elimination of [N | I] (N the rank x d matrix whose
+    columns are the normals), pivoting on the columns of N only.  Its free
+    columns give the kernel basis; augmented column k holds the preimage of
+    e_k with free variables 0.  Both coordinate sums are read from the
+    pivot rows alone, rank Fractions each: the kernel vector of free column
+    f sums to 1 minus column f over the pivot rows, and the preimage of e_k
+    to augmented column k over them.  The component group is the
+    transform-free `invariant_factors`, with no Smith transforms.
     """
-    matrix = [list(col) for col in zip(*diagram.normals)]  # rank x d, columns = normals
-    basis = tuple(tuple(b) for b in rational_kernel_basis(matrix))
-    snf = smith_normal_form(IntMatrix.from_columns(diagram.normals))
-    component_group = snf.invariant_factors
+    d, rank = diagram.d, diagram.rank
+    identity = IntMatrix.identity(rank).entries
+    # rank x (d + rank): the normals as columns, then the standard generators
+    augmented = [list(col) + list(e) for col, e in zip(zip(*diagram.normals), identity)]
+    rows, pivots = rref(augmented, d)
+    basis = tuple(tuple(b) for b in kernel_basis_from_rref(rows, pivots, d))
+    component_group = invariant_factors(IntMatrix.from_columns(diagram.normals))
 
     row_sum_ok: bool | None = None
     if cy is not None:
@@ -110,14 +124,17 @@ def kernel_lattice(
                 "kernel integrality check requires normals with first component "
                 f"{ell}; run normalize_height first"
             )
-        # one rational preimage of each standard generator, free variables 0
-        generators = IntMatrix.identity(diagram.rank).entries
-        row_sum_ok = all(sum(b) == 0 for b in basis) and all(
-            (ell * sum(solve_rational(matrix, e))).denominator == 1 for e in generators
+        # coordinate sums from the pivot rows alone: a kernel vector is e_f
+        # minus column f over the pivots, a preimage is column d + k there
+        pivot_rows = rows[: len(pivots)]
+        row_sum_ok = all(
+            sum(row[f] for row in pivot_rows) == 1 for f in range(d) if f not in pivots
+        ) and all(
+            (ell * sum(row[d + k] for row in pivot_rows)).denominator == 1
+            for k in range(rank)
         )
     return KernelLattice(
         basis=basis,
         component_group=component_group,
         row_sum_times_height_integral=row_sum_ok,
     )
-

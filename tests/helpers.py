@@ -11,7 +11,14 @@ import numpy as np
 
 from sasakit import DegenerateCone, canonical_reeb, truncated_polytope, validate_diagram
 from sasakit.cones import ConeSkeleton, ToricDiagram, _cross, _dot
-from sasakit.lattice import IntMatrix, IntVector, make_primitive
+from sasakit.lattice import (
+    IntMatrix,
+    IntVector,
+    make_primitive,
+    rational_kernel_basis,
+    smith_normal_form,
+    solve_rational,
+)
 
 
 def octant():
@@ -168,6 +175,31 @@ def saturation_box_oracle(vectors, box=10):
         if coeffs is not None and any(c.denominator != 1 for c in coeffs):
             return False
     return True
+
+
+def saturation_snf_oracle(vectors) -> bool:
+    """The full-SNF saturation rule: rank k and k unit Smith diagonal entries."""
+    cols = [tuple(v) for v in vectors]
+    snf = smith_normal_form(IntMatrix.from_columns(cols))
+    if snf.rank != len(cols):
+        return False
+    return all(x == 1 for x in snf.diagonal[: len(cols)])
+
+
+def kernel_lattice_oracle(diagram: ToricDiagram, height: int):
+    """Kernel basis and height integrality flag by one elimination per question.
+
+    The kernel from `rational_kernel_basis`, and one `solve_rational` per
+    standard generator for its preimage (free variables 0); the flag asks
+    that `height` times every coordinate sum be an integer.
+    """
+    matrix = [list(col) for col in zip(*diagram.normals)]
+    basis = tuple(tuple(b) for b in rational_kernel_basis(matrix))
+    generators = IntMatrix.identity(diagram.rank).entries
+    flag = all(sum(b) == 0 for b in basis) and all(
+        (height * sum(solve_rational(matrix, e))).denominator == 1 for e in generators
+    )
+    return basis, flag
 
 
 def skeleton_oracle(diagram: ToricDiagram) -> ConeSkeleton:

@@ -8,7 +8,7 @@ from sasakit.cli import main
 from sasakit.cy import compute_gamma
 from sasakit.errors import DiagramError
 from sasakit.serialize import diagram_to_dict, dumps, load_diagram
-from sasakit import lens, non_cy
+from sasakit import lattice, lens, main4_even, non_cy
 
 
 def write_diagram(tmp_path, name, normals):
@@ -267,3 +267,21 @@ def test_family_help_is_an_unknown_family(capsys):
         main(["family", "help"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+def test_analyze_runs_one_transform_snf(tmp_path, capsys, monkeypatch):
+    # the lattice verdicts are transform-free; only complete_to_unimodular,
+    # in normalize_height, needs U, on the 3x1 column of l*gamma
+    shapes = []
+    snf = lattice.smith_normal_form
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return snf(m)
+
+    for module in ("sasakit.lattice", "sasakit.cy", "sasakit.topology"):
+        monkeypatch.setattr(f"{module}.smith_normal_form", counted)
+    path = write_diagram(tmp_path, "m4.json", main4_even(8, 3).normals)
+    code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
+    assert code == 0
+    assert shapes == [(3, 1)]

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from sasakit import (
     kernel_lattice,
     lens,
     main4_even,
+    main4_odd,
     non_cy,
     normalize_height,
     validate_diagram,
@@ -16,7 +18,13 @@ from sasakit import (
 )
 from sasakit.lattice import IntMatrix
 
-from helpers import octant
+from helpers import (
+    kernel_lattice_oracle,
+    octant,
+    random_convex_height1_diagram,
+    random_sl3,
+    transform_normals,
+)
 
 
 def test_gamma_lens_family():
@@ -180,3 +188,35 @@ def test_underdetermined_rejected_at_validation():
 
     with pytest.raises(DegenerateCone):
         validate_diagram([(1, 0, 0), (0, 1, 0), (2, 1, 0)])
+
+
+def _kernel_corpus():
+    yield from (lens(ell) for ell in range(1, 6))
+    yield z5_lens()
+    yield from (non_cy(ell) for ell in range(2, 5))
+    yield from (main4_even(r, k) for r, k in ((1, 0), (2, 1), (8, 3)))
+    yield from (main4_odd(r, k) for r, k in ((1, 0), (3, 2), (19, 4)))
+    rng = random.Random(11)
+    count = 0
+    while count < 20:
+        d = random_convex_height1_diagram(rng)
+        if d is not None:
+            yield transform_normals(d, random_sl3(rng))
+            count += 1
+
+
+def test_kernel_lattice_matches_per_question_eliminations():
+    # one elimination of [N | I] against rational_kernel_basis + solve_rational
+    for d in _kernel_corpus():
+        cy = compute_gamma(d)
+        if cy is None:
+            basis, _ = kernel_lattice_oracle(d, 1)
+            kl = kernel_lattice(d)
+            assert kl.basis == basis
+            assert kl.row_sum_times_height_integral is None
+            continue
+        _, transformed = normalize_height(d, cy)
+        basis, flag = kernel_lattice_oracle(transformed, cy.height)
+        kl = kernel_lattice(transformed, cy)
+        assert kl.basis == basis
+        assert kl.row_sum_times_height_integral is flag

@@ -1,4 +1,5 @@
-"""The shared Fraction elimination and the SNF against sympy as an oracle."""
+"""The shared Fraction elimination, the SNF, the transform-free invariant
+factors and sublattice saturation against sympy and independent oracles."""
 
 import random
 from fractions import Fraction
@@ -6,18 +7,20 @@ from fractions import Fraction
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
-from sympy.matrices.normalforms import invariant_factors
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from sasakit.lattice import (
     IntMatrix,
+    invariant_factors,
     rational_kernel_basis,
     rational_rank,
     rref,
     smith_normal_form,
     solve_rational,
+    sublattice_saturation_equal,
 )
 
-from helpers import random_sl3
+from helpers import invariant_factors_via_minors, random_sl3, saturation_snf_oracle
 
 ORACLE = settings(max_examples=120, deadline=None)
 
@@ -74,13 +77,53 @@ def test_solve_rational_matches_sympy_consistency(system):
         assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
 
 
+@st.composite
+def degenerate_int_matrices(draw):
+    """1-4 x 1-7 matrices, often with a zero row or column or a dependent row."""
+    rows = draw(int_matrices(rows=st.integers(1, 4), cols=st.integers(1, 7), lo=-6, hi=6))
+    kind = draw(st.sampled_from(["plain", "zero-row", "zero-col", "dependent"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "zero-row":
+        rows[i] = [0] * len(rows[0])
+    elif kind == "zero-col":
+        j = draw(st.integers(0, len(rows[0]) - 1))
+        for r in rows:
+            r[j] = 0
+    elif kind == "dependent" and len(rows) > 1:
+        k = draw(st.integers(0, len(rows) - 1).filter(lambda k: k != i))
+        c = draw(st.integers(-3, 3))
+        rows[i] = [c * x for x in rows[k]]
+    return rows
+
+
 @ORACLE
-@given(int_matrices(rows=st.just(3), cols=st.integers(1, 7), lo=-6, hi=6))
+@given(st.one_of(
+    int_matrices(rows=st.just(3), cols=st.integers(1, 7), lo=-6, hi=6),
+    degenerate_int_matrices(),
+))
 def test_snf_invariant_factors_match_sympy(rows):
-    snf = smith_normal_form(IntMatrix.from_rows(rows))
-    expected = tuple(abs(int(x)) for x in invariant_factors(sympy.Matrix(rows)))
+    m = IntMatrix.from_rows(rows)
+    snf = smith_normal_form(m)
+    expected = tuple(abs(int(x)) for x in sympy_invariant_factors(sympy.Matrix(rows)))
     assert snf.diagonal == expected
-    assert snf.invariant_factors == tuple(x for x in expected if x not in (0, 1))
+    torsion = tuple(x for x in expected if x not in (0, 1))
+    assert snf.invariant_factors == torsion
+    # the transform-free diagonalization and the minors oracle agree with it
+    assert invariant_factors(m) == torsion
+    assert tuple(invariant_factors_via_minors(rows)) == torsion
+
+
+@ORACLE
+@given(
+    st.integers(2, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=3
+        )
+    )
+)
+def test_saturation_closed_forms_match_full_snf_rule(vectors):
+    # 1 vector: gcd; 2 vectors: gcd of 2x2 minors; 3: transform-free diagonal
+    assert sublattice_saturation_equal(vectors) == saturation_snf_oracle(vectors)
 
 
 def test_kernel_basis_is_pinned():

@@ -44,6 +44,10 @@ def _base_cases():
         "non-cy2": families.non_cy(2).normals,
         # coprimality fails on the edge between the first two normals
         "not-good": ((1, 0, 0), (1, 2, 4), (1, 1, 4)),
+        # (1,1,0) grazes the ray (0,0,1): three normals on one edge, not good
+        "grazing-edge": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)),
+        # (1,1,1) vanishes on no face; good, but no gamma pairs to -1 with it
+        "empty-normal": ((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
         "main4-even-2-1": families.main4_even(2, 1).normals,
         "main4-even-8-3": families.main4_even(8, 3).normals,
         "main4-odd-3-2": families.main4_odd(3, 2).normals,

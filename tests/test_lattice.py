@@ -159,6 +159,8 @@ def test_saturation_examples():
     assert sublattice_saturation_equal([(1, 0, 0), (1, 1, 3)])
     # dependent sets are rejected outright
     assert not sublattice_saturation_equal([(1, 0, 0), (2, 0, 0)])
+    with pytest.raises(ValueError, match="different lengths"):
+        sublattice_saturation_equal([(1, 0, 0), (0, 1)])
 
 
 def test_saturation_against_box_oracle():
