@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import random
 import sys
@@ -215,6 +216,15 @@ def _write_scan_csv(diagram, result, directions, path) -> int:
     return rows
 
 
+def _scan_point(raw: str, rank: int):
+    """One --scan value as `rank` finite floats, or None."""
+    try:
+        point = [float(x) for x in raw.split(",")]
+    except ValueError:
+        return None
+    return point if len(point) == rank and all(map(math.isfinite, point)) else None
+
+
 def cmd_analyze(args) -> int:
     t_start = time.perf_counter()
 
@@ -259,44 +269,37 @@ def cmd_analyze(args) -> int:
         stages["topology"] = topology_report(diagram).to_json_dict()
 
     if args.reeb:
+        directions = [_scan_point(raw, diagram.rank) for raw in args.scan or ()]
+        if None in directions:
+            return _fail(f"--scan takes {diagram.rank} finite comma-separated numbers", EXIT_INPUT)
         if cy is None:
             stages["reeb"] = {
                 "error": "no toric diagram structure; c1(D) = 0 fails"
             }
             return _emit(out, EXIT_NO_CY)
         try:
-            seed = int(os.environ.get("SASAKIT_SEED", "0"))
-            rng = random.Random(seed)
-            base = minimize_volume(diagram, cy, optimizer="newton")
-            deviations = []
-            for _ in range(2):
-                offset = [rng.uniform(-0.5, 0.5) for _ in range(diagram.rank - 1)]
-                other = minimize_volume(
-                    diagram, cy, optimizer="newton", start_offset=offset
-                )
-                deviations.append(
-                    max(abs(a - b) for a, b in zip(base.xi.xi, other.xi.xi))
-                )
-            if not base.converged:
+            rng = random.Random(int(os.environ.get("SASAKIT_SEED", "0")))
+            base = minimize_volume(diagram, cy)
+            offsets = [[rng.uniform(-0.5, 0.5) for _ in range(diagram.rank - 1)] for _ in range(2)]
+            restarts = [minimize_volume(diagram, cy, start_offset=o) for o in offsets]
+            if not all(r.converged for r in (base, *restarts)):
                 raise ArithmeticError("volume minimization did not converge")
+            deviation = max(abs(a - b) for r in restarts for a, b in zip(base.xi.xi, r.xi.xi))
             stages["reeb"] = {
                 "xi": [format_float(x) for x in base.xi.xi],
                 "volume": format_float(base.volume),
                 "grad_norm": format_float(base.grad_norm),
                 "iterations": base.iterations,
-                "optimizer": base.optimizer,
+                "optimizer": "newton",
                 "starts": 3,
-                "max_start_deviation": format_float(max(deviations)),
+                "max_start_deviation": format_float(deviation),
             }
-            if args.scan:
-                directions = [
-                    [float(x) for x in raw.split(",")] for raw in args.scan
-                ]
+            if directions:
                 scan_path = args.scan_out or "reeb_scan.csv"
                 npts = _write_scan_csv(diagram, base, directions, scan_path)
                 stages["reeb"]["scan_csv"] = scan_path
                 stages["reeb"]["scan_points"] = npts
-        except (SasakitError, ArithmeticError, np.linalg.LinAlgError) as exc:
+        except (SasakitError, ArithmeticError) as exc:
             return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
 
     if args.potential_grid:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm
 
 from .cones import ToricDiagram
@@ -33,10 +34,14 @@ class CalabiYauData:
 
     gamma: tuple[Fraction, ...]
     height: int
-    normalizer: IntMatrix | None = None
 
     def pairing(self, vector) -> Fraction:
         return sum(g * x for g, x in zip(self.gamma, vector))
+
+    @cached_property
+    def normalizer(self) -> IntMatrix:
+        """A in SL(m+1, Z) with A(l*gamma) = (-1, 0, ..., 0); one Smith transform per object."""
+        return complete_to_unimodular(tuple(int(g * self.height) for g in self.gamma))
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,7 @@ def normalize_height(
     the normal form above, and every transformed normal (the inverse
     transpose acting on the original ones) has first component exactly l.
     """
-    scaled = tuple(int(g * cy.height) for g in cy.gamma)
-    A = complete_to_unimodular(scaled)
+    A = cy.normalizer
     at_inv = A.inverse_unimodular().transpose()
     new_normals = [at_inv.mul_vector(v) for v in diagram.normals]
     assert all(v[0] == cy.height for v in new_normals)

@@ -1,10 +1,12 @@
-"""Volume of the truncated cone as a function of the pairing vector.
+"""Volume of the truncated cone and its minimization over the Reeb slice.
 
 Slicing the cone at <y, xi> <= 1 gives a simplex-fan polytope whose vertices
-are the extreme rays scaled by 1/<ray, xi>.  Its Euclidean volume is a
-rational function of xi, smooth and log-convex on the open Reeb cone, which
-is what makes damped Newton on the normalization slice reliable.  The
-reported quantity is the raw polytope volume; any proportionality constant
+are the extreme rays scaled by 1/<ray, xi>.  Its Euclidean volume V is
+rational in xi, homogeneous of degree -rank and log-convex on the open Reeb
+cone.  `minimize_volume` runs damped Newton on log V in an exact reduced
+lattice basis, so every input basis gets the same answer; `converged` means
+a Newton decrement at most `tol`, and a start costs O(d) exact integer work
+plus O(h) floats per fan pass.  V is the raw polytope volume; any constant
 tying it to a metric volume is a convention left to the caller.
 """
 
@@ -12,14 +14,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from math import log, sqrt
 
-import numpy as np
-
-from .cones import ToricDiagram, _cross, _dot, canonical_reeb, extreme_rays, reeb_cone_contains
-from .cy import CalabiYauData
+from .cones import ToricDiagram, _cross, _dot, cone_skeleton, extreme_rays
+from .cy import CalabiYauData, normalize_height
 from .errors import InfeasibleSlice, UnboundedRegion
-from .lattice import rational_kernel_basis
+from .lattice import IntMatrix
+
+MAX_ITERATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -73,48 +75,17 @@ def truncated_polytope(diagram: ToricDiagram, xi) -> TruncatedPolytope:
     return TruncatedPolytope(vertices=tuple(verts))
 
 
-@lru_cache(maxsize=256)
-def _fan_triangles(diagram: ToricDiagram):
-    """det(rays[0], rays[j], rays[j+1]) for the triangles fanning the cap polygon.
-
-    Entry j-1 belongs to the triangle of rays 0, j and j+1, for j = 1 .. h-2.
-    """
-    rays = extreme_rays(diagram)
-    dets = tuple(_dot(rays[0], _cross(rays[j], rays[j + 1])) for j in range(1, len(rays) - 1))
-    assert dets and all(det > 0 for det in dets)  # the skeleton's rays run counterclockwise
-    return dets
-
-
 def volume(diagram: ToricDiagram, xi):
     """Euclidean volume of the truncated cone, exact for rational input.
 
     Homogeneous of degree -rank in xi.
     """
-    _, scales = _ray_scales(diagram, xi)
+    rays, scales = _ray_scales(diagram, xi)
     total = 0
-    for j, det in enumerate(_fan_triangles(diagram), 1):
+    for j in range(1, len(rays) - 1):
+        det = _dot(rays[0], _cross(rays[j], rays[j + 1]))
         total += _quotient(det, scales[0] * scales[j] * scales[j + 1])
     return total / 6
-
-
-def _volume_derivatives(diagram: ToricDiagram, xi: np.ndarray):
-    """(V, grad V, Hess V) at a float point strictly inside the Reeb cone."""
-    rays = extreme_rays(diagram)
-    n = len(xi)
-    val = 0.0
-    grad = np.zeros(n)
-    hess = np.zeros((n, n))
-    for j, det in enumerate(_fan_triangles(diagram), 1):
-        r = np.array([rays[0], rays[j], rays[j + 1]], dtype=float)
-        s = r @ xi
-        if np.any(s <= 0):
-            raise UnboundedRegion("point left the open Reeb cone")
-        term = det / (s[0] * s[1] * s[2])
-        u = (r / s[:, None]).sum(axis=0)  # sum of r_v / s_v
-        val += term
-        grad -= term * u
-        hess += term * (np.outer(u, u) + (r / s[:, None] ** 2).T @ r)
-    return val / 6.0, grad / 6.0, hess / 6.0
 
 
 @dataclass(frozen=True)
@@ -124,132 +95,153 @@ class MinimizationResult:
     grad_norm: float
     iterations: int
     converged: bool
-    optimizer: str
 
 
-def _slice_frame(diagram: ToricDiagram, cy: CalabiYauData):
-    """Feasible slice point and an orthonormal tangent basis of the slice."""
-    m1 = diagram.rank
-    xi_can = canonical_reeb(diagram)
-    pairing = cy.pairing(xi_can)
-    if pairing >= 0:
-        raise InfeasibleSlice(
-            "the covector does not pair negatively with the canonical vector; "
-            "the normalization slice misses the open Reeb cone"
-        )
-    base = tuple(Fraction(x) * m1 / (-pairing) for x in xi_can)
-    kernel = rational_kernel_basis([list(map(Fraction, cy.gamma))])
-    z = np.array([[float(x) for x in b] for b in kernel]).T  # columns span gamma-perp
-    q, _ = np.linalg.qr(z)
-    x0 = np.array([float(x) for x in base])
-    if not reeb_cone_contains(diagram, x0):
-        raise InfeasibleSlice("canonical start is not interior; slice misses the cone")
-    return x0, q
+def _reduced_basis(a, b, c):
+    """Lagrange-Gauss: a det +1 basis (u, v) of Z^2 reduced for a x^2 + 2b xy + c y^2."""
+
+    def bil(w, z):
+        return a * w[0] * z[0] + b * (w[0] * z[1] + w[1] * z[0]) + c * w[1] * z[1]
+
+    u, v = sorted([(1, 0), (0, 1)], key=lambda w: bil(w, w))
+    while True:
+        m = round(Fraction(bil(u, v), bil(u, u)))
+        v = (v[0] - m * u[0], v[1] - m * u[1])
+        if bil(v, v) >= bil(u, u):
+            break
+        u, v = v, u
+    # det -1 would reverse the facet cycle and turn every ray outward
+    return (u, v) if u[0] * v[1] > u[1] * v[0] else (u, (-v[0], -v[1]))
+
+
+def _reduced_frame(diagram: ToricDiagram, cy: CalabiYauData):
+    """The slice problem in an exact lattice basis where the height polygon is small.
+
+    normalize_height's A makes every normal (l, p, q), so the slice is
+    b_1 = 3l.  M = [[1,0,0],[a,p,q],[b,r,s]] keeps that: its block is the
+    Lagrange-Gauss basis of the facet cycle's integer (p, q) second-moment
+    form, and (a, b) recentres the points by integer multiples of l.  The
+    normals map by N = M A^-T, the rays by N^-T: cross products of the
+    mapped cycle normals.  Returns the rays as floats (3l r_1, r_2, r_3),
+    the fan determinants, the canonical start (3/d) sum of the normals as
+    (3l, x, y), N^-1 (maps xi back, keeping every pairing) and N^T (maps
+    covectors back).
+    """
+    ell = cy.height
+    scaled = [int(g * ell) for g in cy.gamma]
+    if any(_dot(scaled, v) != -ell for v in diagram.normals):
+        raise InfeasibleSlice("gamma does not pair to -1 with every normal: no normalization slice")
+    A, normalized = normalize_height(diagram, cy)
+    cycle = cone_skeleton(diagram).facet_cycle
+    pts = [normalized.normals[i][1:] for i in cycle]
+    n, sp, sq = len(pts), sum(p for p, _ in pts), sum(q for _, q in pts)
+    (p, q), (r, s) = _reduced_basis(
+        n * sum(p * p for p, _ in pts) - sp * sp,
+        n * sum(p * q for p, q in pts) - sp * sq,
+        n * sum(q * q for _, q in pts) - sq * sq,
+    )
+    a, b = -round(Fraction(p * sp + q * sq, n * ell)), -round(Fraction(r * sp + s * sq, n * ell))
+    m_inv = [[1, 0, 0], [q * b - s * a, s, -q], [r * a - p * b, -r, p]]
+    back = A.transpose() @ IntMatrix.from_rows(m_inv)
+    b0, b1, b2 = back.entries
+    cov = (_cross(b1, b2), _cross(b2, b0), _cross(b0, b1))  # cof(N^-1) = N^T
+    normals = [
+        (ell, a * ell + p * u + q * w, b * ell + r * u + s * w) for _, u, w in normalized.normals
+    ]
+    rays = [_cross(normals[i], normals[j]) for i, j in zip(cycle, cycle[1:] + cycle[:1])]
+    dets = [float(_dot(rays[0], _cross(rays[j], rays[j + 1]))) for j in range(1, len(rays) - 1)]
+    start = tuple(3 * sum(col) / diagram.d for col in zip(*normals))
+    floats = [(float(3 * ell * r1), float(r2), float(r3)) for r1, r2, r3 in rays]
+    return floats, dets, start, back, cov
+
+
+def _fan(rays, dets, x, y):
+    """(V, grad log V, Hess log V as (xx, xy, yy)) at (x, y), one float pass; None outside."""
+    s = [c + p * x + q * y for c, p, q in rays]
+    if min(s) <= 0:
+        return None
+    u = [(p / t, q / t) for (_, p, q), t in zip(rays, s)]
+    v = gx = gy = hxx = hxy = hyy = 0.0
+    for j, det in enumerate(dets, 1):
+        (a0, b0), (a1, b1), (a2, b2) = u[0], u[j], u[j + 1]
+        t = det / (s[0] * s[j] * s[j + 1])
+        sx, sy = a0 + a1 + a2, b0 + b1 + b2
+        v += t
+        gx -= t * sx
+        gy -= t * sy
+        hxx += t * (sx * sx + a0 * a0 + a1 * a1 + a2 * a2)
+        hxy += t * (sx * sy + a0 * b0 + a1 * b1 + a2 * b2)
+        hyy += t * (sy * sy + b0 * b0 + b1 * b1 + b2 * b2)
+    gx, gy = gx / v, gy / v
+    return v / 6, (gx, gy), (hxx / v - gx * gx, hxy / v - gx * gy, hyy / v - gy * gy)
 
 
 def minimize_volume(
     diagram: ToricDiagram,
     cy: CalabiYauData,
-    optimizer: str = "newton",
     start_offset=None,
-    tol: float = 1e-11,
+    tol: float = 1e-13,
 ) -> MinimizationResult:
     """Minimize the truncated-cone volume over the normalization slice.
 
-    The slice is {<gamma, xi> = -rank} inside the open Reeb cone.  The
-    objective log V is convex there with a barrier at the cone boundary, so
-    the minimizer is unique; `optimizer` selects damped Newton ("newton") or
-    Armijo projected gradient descent ("gradient"), which serve as
-    independent cross-checks of each other.  `start_offset` perturbs the
-    starting point in slice coordinates.  Minimizer components are
-    typically irrational (irregular Reeb vectors); they are reported as
-    plain floats.
+    The slice is {<gamma, xi> = -3} in the open Reeb cone of a rank-3
+    diagram, gamma its height covector; log V is strictly convex there, so
+    the minimizer is unique (Martelli-Sparks-Yau).  The work runs in the
+    exact frame of `_reduced_frame`, where no input basis costs the float
+    pairings digits, and xi is mapped back exactly.  `start_offset` moves
+    the canonical start in that frame's slice coordinates (halved until it
+    lies in the cone).  Damped Newton on log V: a step is halved until it
+    stays in the cone and passes an Armijo test, except that at a Newton
+    decrement sqrt(g^T H^-1 g) <= 1e-3 the full step is taken, as the
+    decrease is then below the rounding of log V.  `converged` means the
+    scale-free decrement reached `tol`; `grad_norm` is grad V tangent to the
+    slice, in the input basis.  Cost: O(d) exact integer work for the frame
+    (all calls on one CalabiYauData share its Smith transform), then O(h)
+    floats per fan pass for h rays, one pass per step or backtrack.
     """
-    x0, frame = _slice_frame(diagram, cy)
-    t = np.zeros(frame.shape[1])
+    rays, dets, (b1, x, y), back, cov = _reduced_frame(diagram, cy)
     if start_offset is not None:
-        t = t + np.asarray(start_offset, dtype=float)
-        while not reeb_cone_contains(diagram, x0 + frame @ t):
-            t *= 0.5
-    if optimizer == "newton":
-        t, iters, converged = _newton_on_slice(diagram, x0, frame, t, tol)
-    elif optimizer == "gradient":
-        t, iters, converged = _gradient_on_slice(diagram, x0, frame, t, tol)
-    else:
-        raise ValueError(f"unknown optimizer {optimizer!r}")
-    xi = x0 + frame @ t
-    val, grad, _ = _volume_derivatives(diagram, xi)
-    grad_norm = float(np.linalg.norm(frame.T @ grad))
-    return MinimizationResult(
-        xi=ReebVector(tuple(float(x) for x in xi)),
-        volume=float(val),
-        grad_norm=grad_norm,
-        iterations=iters,
-        converged=converged,
-        optimizer=optimizer,
-    )
-
-
-def _logv_and_derivs(diagram, x0, frame, t):
-    xi = x0 + frame @ t
-    val, grad, hess = _volume_derivatives(diagram, xi)
-    f = np.log(val)
-    gf = frame.T @ grad / val
-    hf = frame.T @ (hess / val - np.outer(grad, grad) / val**2) @ frame
-    return f, gf, hf, val, grad
-
-
-def _newton_on_slice(diagram, x0, frame, t, tol, max_iter=200):
-    for it in range(max_iter):
-        f, gf, hf, val, grad = _logv_and_derivs(diagram, x0, frame, t)
-        if np.linalg.norm(frame.T @ grad) <= tol:
-            return t, it, True
-        try:
-            step = np.linalg.solve(hf, -gf)
-        except np.linalg.LinAlgError:
-            step = -gf
-        if gf @ step > 0:  # not a descent direction, fall back
-            step = -gf
-        alpha = 1.0
-        for _ in range(80):
-            cand = t + alpha * step
-            if reeb_cone_contains(diagram, x0 + frame @ cand):
-                fc = np.log(_volume_derivatives(diagram, x0 + frame @ cand)[0])
-                if fc <= f + 1e-4 * alpha * (gf @ step):
-                    t = cand
-                    break
-            alpha *= 0.5
+        dx, dy = (float(t) for t in start_offset)
+        while _fan(rays, dets, x + dx, y + dy) is None:
+            dx, dy = dx / 2, dy / 2
+        x, y = x + dx, y + dy
+    current = _fan(rays, dets, x, y)
+    iterations, converged = 0, False
+    while True:
+        val, (gx, gy), (hxx, hxy, hyy) = current
+        det = hxx * hyy - hxy * hxy
+        if hxx <= 0 or det <= 0:
+            break
+        dx, dy = (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
+        decrement = sqrt(max(-(gx * dx + gy * dy), 0.0))
+        converged = decrement <= tol
+        if converged or iterations == MAX_ITERATIONS:
+            break
+        t = 1.0
+        while t > 1e-20:
+            trial = _fan(rays, dets, x + t * dx, y + t * dy)
+            if trial is not None and (
+                decrement <= 1e-3
+                or log(trial[0]) <= log(val) - 1e-4 * t * decrement**2
+            ):
+                break
+            t /= 2
         else:
-            return t, it + 1, False
-    _, _, _, _, grad = _logv_and_derivs(diagram, x0, frame, t)
-    return t, max_iter, bool(np.linalg.norm(frame.T @ grad) <= tol)
+            break
+        x, y, current = x + t * dx, y + t * dy, trial
+        iterations += 1
 
-
-def _gradient_on_slice(diagram, x0, frame, t, tol, max_iter=20000):
-    # Barzilai-Borwein step lengths with an Armijo backtracking safeguard
-    prev_t = None
-    prev_gf = None
-    alpha = 1.0
-    for it in range(max_iter):
-        f, gf, _, val, grad = _logv_and_derivs(diagram, x0, frame, t)
-        if np.linalg.norm(frame.T @ grad) <= tol:
-            return t, it, True
-        if prev_t is not None:
-            s = t - prev_t
-            ydiff = gf - prev_gf
-            denom = float(s @ ydiff)
-            alpha = float(s @ s) / denom if denom > 1e-300 else 1.0
-            alpha = min(max(alpha, 1e-12), 1e8)
-        while True:
-            cand = t - alpha * gf
-            if reeb_cone_contains(diagram, x0 + frame @ cand):
-                fc = np.log(_volume_derivatives(diagram, x0 + frame @ cand)[0])
-                if fc <= f - 1e-4 * alpha * (gf @ gf):
-                    break
-            alpha *= 0.5
-            if alpha < 1e-18:
-                return t, it + 1, False
-        prev_t, prev_gf = t, gf
-        t = cand
-    _, _, _, _, grad = _logv_and_derivs(diagram, x0, frame, t)
-    return t, max_iter, bool(np.linalg.norm(frame.T @ grad) <= tol)
+    val, (gx, gy), _ = current
+    xi = tuple(_dot(row, (b1, x, y)) for row in back.entries)
+    # grad V in the frame: (x, y) parts from grad log V, b_1 from <grad V, xi> = -3 V
+    grad_v = ((-3 - x * gx - y * gy) * val / b1, val * gx, val * gy)
+    g = [_dot(row, grad_v) for row in cov]
+    gamma = [float(c) for c in cy.gamma]
+    along = _dot(g, gamma) / _dot(gamma, gamma)
+    return MinimizationResult(
+        xi=ReebVector(xi),
+        volume=val,
+        grad_norm=sqrt(sum((a - along * c) ** 2 for a, c in zip(g, gamma))),
+        iterations=iterations,
+        converged=converged,
+    )

@@ -9,7 +9,16 @@ from math import gcd
 
 import numpy as np
 
-from sasakit import DegenerateCone, canonical_reeb, truncated_polytope, validate_diagram
+from sasakit import (
+    DegenerateCone,
+    MinimizationResult,
+    ReebVector,
+    canonical_reeb,
+    extreme_rays,
+    reeb_cone_contains,
+    truncated_polytope,
+    validate_diagram,
+)
 from sasakit.cones import ConeSkeleton, ToricDiagram, _cross, _dot
 from sasakit.lattice import (
     IntMatrix,
@@ -268,4 +277,82 @@ def skeleton_oracle(diagram: ToricDiagram) -> ConeSkeleton:
         facet_cycle=tuple(facet_cycle),
         grazing=grazing,
         empty=empty,
+    )
+
+
+def volume_gradient(diagram: ToricDiagram, xi: np.ndarray):
+    """(V, grad V) of the fan volume at a float point inside the Reeb cone."""
+    rays = extreme_rays(diagram)
+    val = 0.0
+    grad = np.zeros(len(xi))
+    for j in range(1, len(rays) - 1):
+        r = np.array([rays[0], rays[j], rays[j + 1]], dtype=float)
+        det = _dot(rays[0], _cross(rays[j], rays[j + 1]))
+        s = r @ xi
+        assert np.all(s > 0), "point left the open Reeb cone"
+        term = det / (s[0] * s[1] * s[2])
+        u = (r / s[:, None]).sum(axis=0)  # sum of r_v / s_v
+        val += term
+        grad -= term * u
+    return val / 6.0, grad / 6.0
+
+
+def minimize_volume_bb(diagram, cy, start_offset=None, tol=1e-11, max_iter=20000):
+    """Barzilai-Borwein descent on log V over the slice <gamma, xi> = -rank.
+
+    Reference for `sasakit.minimize_volume`, sharing none of its frame or
+    solver: an orthonormal QR frame of gamma-perp in the input basis,
+    Barzilai-Borwein step lengths with an Armijo backtracking safeguard, and
+    the absolute stop |frame^T grad V| <= tol.  `start_offset` moves the
+    start, the canonical vector scaled onto the slice, in frame coordinates.
+    """
+    m1 = diagram.rank
+    xi_can = canonical_reeb(diagram)
+    x0 = np.array([float(Fraction(x) * m1 / -cy.pairing(xi_can)) for x in xi_can])
+    kernel = rational_kernel_basis([list(map(Fraction, cy.gamma))])
+    frame, _ = np.linalg.qr(np.array([[float(x) for x in b] for b in kernel]).T)
+
+    def inside(t):
+        return reeb_cone_contains(diagram, x0 + frame @ t)
+
+    def logv(t):
+        val, grad = volume_gradient(diagram, x0 + frame @ t)
+        return np.log(val), frame.T @ grad / val, frame.T @ grad
+
+    def descend(t):
+        prev_t = prev_gf = None
+        alpha = 1.0
+        for it in range(max_iter):
+            f, gf, tangential = logv(t)
+            if np.linalg.norm(tangential) <= tol:
+                return t, it, True
+            if prev_t is not None:
+                s, ydiff = t - prev_t, gf - prev_gf
+                denom = float(s @ ydiff)
+                alpha = float(s @ s) / denom if denom > 1e-300 else 1.0
+                alpha = min(max(alpha, 1e-12), 1e8)
+            while True:
+                cand = t - alpha * gf
+                if inside(cand) and logv(cand)[0] <= f - 1e-4 * alpha * (gf @ gf):
+                    break
+                alpha *= 0.5
+                if alpha < 1e-18:
+                    return t, it + 1, False
+            prev_t, prev_gf, t = t, gf, cand
+        return t, max_iter, False
+
+    t = np.zeros(frame.shape[1])
+    if start_offset is not None:
+        t = t + np.asarray(start_offset, dtype=float)
+        while not inside(t):
+            t *= 0.5
+    t, iterations, converged = descend(t)
+    xi = x0 + frame @ t
+    val, grad = volume_gradient(diagram, xi)
+    return MinimizationResult(
+        xi=ReebVector(tuple(float(x) for x in xi)),
+        volume=float(val),
+        grad_norm=float(np.linalg.norm(frame.T @ grad)),
+        iterations=iterations,
+        converged=converged,
     )

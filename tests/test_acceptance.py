@@ -43,6 +43,7 @@ from sasakit.topology import area_invariant_times_2, convexity_and_span_check
 from helpers import (
     interior_points,
     invariant_factors_via_minors,
+    minimize_volume_bb,
     octant,
     random_convex_height1_diagram,
     random_height_preserving,
@@ -194,8 +195,8 @@ def test_criterion_07_reeb_minimization():
 
     rng = np.random.default_rng(707)
     for d, cy in cy_corpus():
-        a = minimize_volume(d, cy, optimizer="newton")
-        b = minimize_volume(d, cy, optimizer="gradient", start_offset=[0.3, -0.2])
+        a = minimize_volume(d, cy)
+        b = minimize_volume_bb(d, cy, start_offset=[0.3, -0.2])
         assert a.converged and b.converged, d.normals
         assert max(abs(x - y) for x, y in zip(a.xi.xi, b.xi.xi)) < 1e-6, d.normals
         assert a.grad_norm < 1e-8

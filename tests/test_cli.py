@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
+from sasakit import cli
 from sasakit.cli import main
 from sasakit.cy import compute_gamma
 from sasakit.errors import DiagramError
@@ -84,6 +86,45 @@ def test_analyze_reeb_octant(tmp_path, capsys):
     assert max(abs(x - 1.0) for x in xi) < 1e-9
     assert abs(float(reeb["volume"]) - 1 / 6) < 1e-12
     assert float(reeb["grad_norm"]) < 1e-8
+
+
+def test_analyze_reeb_scan_csv(tmp_path, capsys):
+    path = write_diagram(tmp_path, "lens2.json", lens(2).normals)
+    scan = tmp_path / "scan.csv"
+    code, out = run(
+        capsys, ["analyze", path, "--reeb", "--scan", "2,2,2", "--scan-out", str(scan)]
+    )
+    assert code == 0
+    rows = scan.read_text().strip().splitlines()
+    assert rows[0] == "ray,tau,xi1,xi2,xi3,volume"
+    assert json.loads(out)["stages"]["reeb"]["scan_points"] == len(rows) - 1 == 41
+
+
+# a non-number, too few and too many coordinates, nan and inf
+@pytest.mark.parametrize("scan", ["a,b,c", "1,2", "1,2,3,4", "nan,1,1", "inf,1,1"])
+def test_analyze_malformed_scan_is_input_error(tmp_path, capsys, scan):
+    path = write_diagram(tmp_path, "lens2.json", lens(2).normals)
+    out_csv = tmp_path / "scan.csv"
+    code = main(["analyze", path, "--reeb", "--scan", scan, "--scan-out", str(out_csv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "--scan" in json.loads(captured.out)["error"]
+    assert captured.err == ""
+    assert not out_csv.exists()
+
+
+def test_analyze_reeb_checks_every_start(tmp_path, capsys, monkeypatch):
+    minimize = cli.minimize_volume
+
+    def restarts_fail(diagram, cy, start_offset=None):
+        res = minimize(diagram, cy, start_offset=start_offset)
+        return replace(res, converged=start_offset is None)
+
+    monkeypatch.setattr(cli, "minimize_volume", restarts_fail)
+    path = write_diagram(tmp_path, "lens2.json", lens(2).normals)
+    code, out = run(capsys, ["analyze", path, "--reeb"])
+    assert code == 4
+    assert "volume minimization did not converge" in json.loads(out)["error"]
 
 
 def test_analyze_reeb_without_gamma_exits_3(tmp_path, capsys):

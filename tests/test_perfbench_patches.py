@@ -2,6 +2,8 @@
 
 perfbench/tracing.py wraps module attributes by name; a refactor that moves
 or renames one of them would make `--trace 1` fail or silently miss a layer.
+Its extractors read fields of the results, so each one also runs on a real
+result.
 """
 
 import importlib
@@ -9,6 +11,8 @@ import importlib.util
 from pathlib import Path
 
 import pytest
+
+from sasakit import compute_gamma, lens
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -23,3 +27,18 @@ def _patches():
 @pytest.mark.parametrize("module, attr", [(m, a) for m, a, _, _ in _patches()])
 def test_traced_attribute_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+# arguments for each traced function whose result an extractor reads
+SAMPLE_ARGS = {
+    "enumerate_faces_3d": lambda d: (d,),
+    "minimize_volume": lambda d: (d, compute_gamma(d)),
+}
+
+
+@pytest.mark.parametrize(
+    "module, attr, extract", [(m, a, e) for m, a, _, e in _patches() if e is not None]
+)
+def test_traced_extractor_reads_a_real_result(module, attr, extract):
+    fn = getattr(importlib.import_module(module), attr)
+    assert extract(fn(*SAMPLE_ARGS[attr](lens(2))))

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -11,12 +13,25 @@ from sasakit import (
     main4_odd,
     minimize_volume,
     truncated_polytope,
+    validate_diagram,
     volume,
     z5_lens,
 )
 from sasakit.lattice import IntMatrix
+from sasakit.reeb import _fan, _reduced_frame
+from sasakit.serialize import format_float
 
-from helpers import octant
+from helpers import (
+    minimize_volume_bb,
+    octant,
+    random_convex_height1_diagram,
+    random_sl3,
+    transform_normals,
+)
+
+# a det-1 shear of the pentagon (0,0),(1,1),(2,4),(1,3),(0,1), on which an
+# absolute gradient stop ran into its iteration cap
+FAULT_PENTAGON = [[1, -3, -3], [4, -5, -11], [13, -13, -35], [10, -11, -27], [4, -6, -11]]
 
 
 def test_truncated_octant_unit_simplex():
@@ -156,8 +171,8 @@ def test_minimize_lens1_matches_transformed_octant():
 def test_minimize_two_optimizers_agree():
     for d in (octant(), lens(2), z5_lens(), main4_even(1, 0), main4_odd(1, 0)):
         cy = compute_gamma(d)
-        a = minimize_volume(d, cy, optimizer="newton")
-        b = minimize_volume(d, cy, optimizer="gradient", start_offset=[0.3, -0.2])
+        a = minimize_volume(d, cy)
+        b = minimize_volume_bb(d, cy, start_offset=[0.3, -0.2])
         assert a.converged and b.converged
         assert max(abs(x - y) for x, y in zip(a.xi.xi, b.xi.xi)) < 1e-6
         assert a.grad_norm < 1e-8
@@ -185,24 +200,29 @@ def test_minimizer_first_order_condition_finite_differences():
 
 
 def test_volume_gradient_matches_finite_differences():
-    from sasakit.reeb import _volume_derivatives
+    # grad and Hessian of log V in the reduced slice coordinates, against
+    # central differences of the exact volume at the mapped-back point
+    for d in (z5_lens(), transform_normals(main4_odd(2, 1), random_sl3(random.Random(3)))):
+        cy = compute_gamma(d)
+        rays, dets, (b1, x0, y0), back, _ = _reduced_frame(d, cy)
 
-    d = z5_lens()
-    xi = np.array([3.2, 5.1, 5.7])
-    _, grad, _ = _volume_derivatives(d, xi)
-    h = 1e-5
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        fd = (volume(d, tuple(xi + e)) - volume(d, tuple(xi - e))) / (2 * h)
-        assert abs(fd - grad[k]) < 1e-6
+        def log_v(x, y):
+            xi = [sum(c * t for c, t in zip(row, (b1, x, y))) for row in back.entries]
+            return math.log(volume(d, xi))
 
-
-def test_minimize_unknown_optimizer():
-    d = octant()
-    cy = compute_gamma(d)
-    with pytest.raises(ValueError):
-        minimize_volume(d, cy, optimizer="annealing")
+        for x, y in ((x0, y0), (x0 + 0.2, y0 - 0.1)):
+            val, grad, (hxx, hxy, hyy) = _fan(rays, dets, x, y)
+            assert math.log(val) == pytest.approx(log_v(x, y), rel=1e-12)
+            h = 1e-4
+            fd = ((log_v(x + h, y) - log_v(x - h, y)) / (2 * h),
+                  (log_v(x, y + h) - log_v(x, y - h)) / (2 * h))
+            assert fd == pytest.approx(grad, abs=1e-7)
+            f0 = log_v(x, y)
+            fd_xx = (log_v(x + h, y) - 2 * f0 + log_v(x - h, y)) / h**2
+            fd_yy = (log_v(x, y + h) - 2 * f0 + log_v(x, y - h)) / h**2
+            fd_xy = (log_v(x + h, y + h) - log_v(x + h, y - h)
+                     - log_v(x - h, y + h) + log_v(x - h, y - h)) / (4 * h * h)
+            assert (fd_xx, fd_xy, fd_yy) == pytest.approx((hxx, hxy, hyy), rel=1e-4, abs=1e-6)
 
 
 def test_minimize_infeasible_slice():
@@ -212,3 +232,60 @@ def test_minimize_infeasible_slice():
     bogus = CalabiYauData(gamma=(Fraction(1), Fraction(0), Fraction(0)), height=1)
     with pytest.raises(InfeasibleSlice):
         minimize_volume(octant(), bogus)
+
+
+@pytest.mark.parametrize("exponent", [3, 5, 6, 9, 12, 15])
+def test_sheared_octant_ladder(exponent):
+    n = 10**exponent
+    shear = IntMatrix.from_rows([[1, 0, 0], [n, 1, 0], [0, n + 1, 1]])
+    d = transform_normals(octant(), shear)
+    res = minimize_volume(d, compute_gamma(d))
+    assert res.converged
+    assert res.volume == 1 / 6
+    expected = shear.mul_vector((1, 1, 1))
+    assert all(abs(x - e) <= 1e-15 * abs(e) for x, e in zip(res.xi.xi, expected))
+
+
+def _equivariance_corpus():
+    rng = random.Random(11)
+    base = [lens(1), lens(2), lens(5), z5_lens(), main4_even(2, 1), main4_even(3, 2),
+            main4_odd(2, 0), main4_odd(4, 3)]
+    while len(base) < 20:
+        d = random_convex_height1_diagram(rng)
+        if d is not None:
+            base.append(d)
+    return [(d, random_sl3(rng)) for d in base for _ in range(2)]
+
+
+def test_minimizer_is_shear_equivariant():
+    for d, m in _equivariance_corpus():
+        a = minimize_volume(d, compute_gamma(d))
+        sheared = transform_normals(d, m)
+        b = minimize_volume(sheared, compute_gamma(sheared))
+        assert a.converged and b.converged
+        assert format_float(b.volume) == format_float(a.volume), d.normals
+        assert b.iterations == a.iterations, d.normals
+        mapped = [sum(c * x for c, x in zip(row, a.xi.xi)) for row in m.entries]
+        scale = max(abs(x) for x in mapped)
+        assert max(abs(x - y) for x, y in zip(b.xi.xi, mapped)) <= 1e-12 * scale, d.normals
+
+
+def test_fault_pentagon_converges():
+    d = validate_diagram(FAULT_PENTAGON)
+    res = minimize_volume(d, compute_gamma(d))
+    assert res.converged and res.iterations <= 5
+    unsheared = validate_diagram([(1, p, q) for p, q in [(0, 0), (1, 1), (2, 4), (1, 3), (0, 1)]])
+    assert res.volume == pytest.approx(minimize_volume(unsheared, compute_gamma(unsheared)).volume,
+                                       rel=1e-13)
+
+
+def test_restarts_agree():
+    rng = random.Random(5)
+    for d, _ in _equivariance_corpus()[::3] + [(validate_diagram(FAULT_PENTAGON), None)]:
+        cy = compute_gamma(d)
+        base = minimize_volume(d, cy)
+        scale = max(abs(x) for x in base.xi.xi)
+        for _ in range(3):
+            other = minimize_volume(d, cy, start_offset=[rng.uniform(-0.5, 0.5) for _ in range(2)])
+            assert other.converged
+            assert max(abs(x - y) for x, y in zip(base.xi.xi, other.xi.xi)) <= 1e-9 * scale
