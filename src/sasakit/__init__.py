@@ -47,24 +47,6 @@ from .lattice import (
     smith_normal_form,
     sublattice_saturation_equal,
 )
-from .potentials import (
-    LinearTerm,
-    PotentialSample,
-    QuadraticCoordinate,
-    RationalBump,
-    SymplecticPotential,
-    canonical_potential,
-    canonical_xi_potential,
-    eval_canonical,
-    eval_canonical_xi,
-    geodesic_equation_residual,
-    geodesic_segment,
-    invert_gradient,
-    legendre,
-    legendre_roundtrip_error,
-    reeb_invariance_residual,
-    shifted_potential,
-)
 from .reeb import (
     MinimizationResult,
     ReebVector,
@@ -84,4 +66,22 @@ from .topology import (
     topology_report,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# numpy is the cost of importing these; PEP 562 defers it to the first use
+_POTENTIALS = (
+    "LinearTerm", "PotentialSample", "QuadraticCoordinate", "RationalBump",
+    "SymplecticPotential", "canonical_potential", "canonical_xi_potential", "eval_canonical",
+    "eval_canonical_xi", "geodesic_equation_residual", "geodesic_segment", "invert_gradient",
+    "legendre", "legendre_roundtrip_error", "reeb_invariance_residual", "shifted_potential",
+)
+
+__all__ = sorted([n for n in dir() if not n.startswith("_")] + ["potentials", *_POTENTIALS])
+
+
+def __getattr__(name):
+    if name == "potentials" or name in _POTENTIALS:
+        from importlib import import_module
+
+        # not `from . import potentials`: that asks this hook for the module again
+        potentials = import_module(".potentials", __name__)
+        return potentials if name == "potentials" else getattr(potentials, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

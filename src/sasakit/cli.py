@@ -17,8 +17,6 @@ import random
 import sys
 import time
 
-import numpy as np
-
 from . import __version__
 from .cones import (
     ToricDiagram,
@@ -30,16 +28,6 @@ from .cones import (
 from .cy import compute_gamma, kernel_lattice, normalize_height
 from .errors import NotNormalized, SasakitError
 from .families import FAMILY_BUILDERS
-from .potentials import (
-    LinearTerm,
-    RationalBump,
-    canonical_potential,
-    eval_potential,
-    geodesic_equation_residual,
-    legendre_roundtrip_error,
-    reeb_invariance_residual,
-    shifted_potential,
-)
 from .reeb import minimize_volume, truncated_polytope, volume
 from .serialize import (
     PRECISION,
@@ -58,6 +46,35 @@ EXIT_NOT_GOOD = 2
 EXIT_NO_CY = 3
 EXIT_NUMERICAL = 4
 
+# numpy and the potentials load on first use: check, --cy, --topo, --reeb and
+# --scan never import them.  These names resolve as attributes of this module
+# (perfbench/tracing.py wraps two of them), and callers read them from its
+# globals, so a wrapper bound there is the one that runs.
+_POTENTIALS = (
+    "LinearTerm", "RationalBump", "canonical_potential", "eval_potential",
+    "geodesic_equation_residual", "legendre_roundtrip_error", "reeb_invariance_residual",
+    "shifted_potential",
+)
+
+
+def _load_potentials() -> None:
+    """Bind `np` and the `_POTENTIALS` names here, keeping any already bound."""
+    import numpy
+
+    from . import potentials
+
+    namespace = globals()
+    namespace.setdefault("np", numpy)
+    for name in _POTENTIALS:
+        namespace.setdefault(name, getattr(potentials, name))
+
+
+def __getattr__(name):
+    if name in _POTENTIALS:
+        _load_potentials()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 def _tool_block() -> dict:
     return {
@@ -69,24 +86,33 @@ def _tool_block() -> dict:
 
 
 def _interior_sample(diagram: ToricDiagram) -> np.ndarray:
+    _load_potentials()
+    # not sum(): np.mean adds pairwise, which changes the bytes from 8 cap vertices on
     poly = truncated_polytope(diagram, [float(x) for x in canonical_reeb(diagram)])
     cap = np.array([[float(c) for c in v] for v in poly.cap_vertices])
     return cap.mean(axis=0)
 
 
-def _fail(message: str, code: int) -> int:
-    print(dumps({"error": message, "tool": _tool_block()}), end="")
+def _emit(out: dict, code: int, t_start: float | None = None) -> int:
+    """Print `out`, with the seconds since `t_start` when timings are asked for."""
+    if t_start is not None:
+        out["timing_seconds"] = time.perf_counter() - t_start
+    print(dumps(out), end="")
     return code
 
 
-def _load_rank3(path: str) -> ToricDiagram | None:
+def _fail(message: str, code: int, t_start: float | None = None) -> int:
+    return _emit({"error": message, "tool": _tool_block()}, code, t_start)
+
+
+def _load_rank3(path: str, t_start: float | None = None) -> ToricDiagram | None:
     """The rank-3 diagram at `path`, or None once the input error is printed."""
     try:
         diagram, _ = load_diagram(path)
         if diagram.rank != 3:
             raise ValueError("the command line pipeline handles rank-3 diagrams only")
     except (OSError, ValueError) as exc:
-        _fail(str(exc), EXIT_INPUT)
+        _fail(str(exc), EXIT_INPUT, t_start)
         return None
     return diagram
 
@@ -113,8 +139,7 @@ def cmd_check(args) -> int:
             "edges": sum(1 for f in faces if f.kind == "edge"),
         },
     }
-    print(dumps(out), end="")
-    return EXIT_OK if report.good else EXIT_NOT_GOOD
+    return _emit(out, EXIT_OK if report.good else EXIT_NOT_GOOD)
 
 
 def _emit_svg(diagram: ToricDiagram, path: str) -> None:
@@ -164,6 +189,7 @@ def _emit_svg(diagram: ToricDiagram, path: str) -> None:
 
 
 def _write_grid_csv(diagram: ToricDiagram, n: int, path: str) -> int:
+    _load_potentials()
     pot = canonical_potential(diagram)
     center = _interior_sample(diagram)
     rows = []
@@ -193,18 +219,17 @@ def _write_grid_csv(diagram: ToricDiagram, n: int, path: str) -> int:
 
 
 def _write_scan_csv(diagram, result, directions, path) -> int:
-    xi_star = np.array(result.xi.xi)
+    xi_star = result.xi.xi
     rows = 0
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["ray", "tau"] + [f"xi{i+1}" for i in range(diagram.rank)] + ["volume"])
         for ridx, direction in enumerate(directions):
-            v = np.asarray(direction, dtype=float)
             for k in range(41):
                 tau = k / 40 * 0.95
-                xi = (1 - tau) * xi_star + tau * v
+                xi = tuple((1 - tau) * a + tau * b for a, b in zip(xi_star, direction))
                 try:
-                    vol = volume(diagram, tuple(float(x) for x in xi))
+                    vol = volume(diagram, xi)
                 except SasakitError:
                     break
                 writer.writerow(
@@ -226,15 +251,8 @@ def _scan_point(raw: str, rank: int):
 
 
 def cmd_analyze(args) -> int:
-    t_start = time.perf_counter()
-
-    def _emit(out, code):
-        if args.timings:
-            out["timing_seconds"] = time.perf_counter() - t_start
-        print(dumps(out), end="")
-        return code
-
-    diagram = _load_rank3(args.path)
+    t_start = time.perf_counter() if args.timings else None
+    diagram = _load_rank3(args.path, t_start)
     if diagram is None:
         return EXIT_INPUT
 
@@ -244,7 +262,7 @@ def cmd_analyze(args) -> int:
     good = is_good(diagram)
     stages["goodness"] = _goodness(good)
     if not good.good:
-        return _emit(out, EXIT_NOT_GOOD)
+        return _emit(out, EXIT_NOT_GOOD, t_start)
 
     cy = compute_gamma(diagram)
     if args.cy:
@@ -271,12 +289,13 @@ def cmd_analyze(args) -> int:
     if args.reeb:
         directions = [_scan_point(raw, diagram.rank) for raw in args.scan or ()]
         if None in directions:
-            return _fail(f"--scan takes {diagram.rank} finite comma-separated numbers", EXIT_INPUT)
+            message = f"--scan takes {diagram.rank} finite comma-separated numbers"
+            return _fail(message, EXIT_INPUT, t_start)
         if cy is None:
             stages["reeb"] = {
                 "error": "no toric diagram structure; c1(D) = 0 fails"
             }
-            return _emit(out, EXIT_NO_CY)
+            return _emit(out, EXIT_NO_CY, t_start)
         try:
             rng = random.Random(int(os.environ.get("SASAKIT_SEED", "0")))
             base = minimize_volume(diagram, cy)
@@ -300,24 +319,24 @@ def cmd_analyze(args) -> int:
                 stages["reeb"]["scan_csv"] = scan_path
                 stages["reeb"]["scan_points"] = npts
         except (SasakitError, ArithmeticError) as exc:
-            return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
+            return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL, t_start)
 
     if args.potential_grid:
         grid_path = args.grid_out or "potential_grid.csv"
         try:
             npts = _write_grid_csv(diagram, args.potential_grid, grid_path)
         except SasakitError as exc:
-            return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
+            return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL, t_start)
         stages["potential_grid"] = {"csv": grid_path, "points": npts}
 
     if args.emit_svg:
         try:
             _emit_svg(diagram, args.emit_svg)
         except (NotNormalized, ValueError) as exc:
-            return _fail(str(exc), EXIT_INPUT)
+            return _fail(str(exc), EXIT_INPUT, t_start)
         stages["svg"] = {"path": args.emit_svg}
 
-    return _emit(out, EXIT_OK)
+    return _emit(out, EXIT_OK, t_start)
 
 
 def cmd_family(args) -> int:
@@ -336,6 +355,7 @@ def cmd_family(args) -> int:
 
 
 def cmd_geodesic_test(args) -> int:
+    _load_potentials()
     if not 0.0 < args.t < 1.0:
         return _fail(f"--t must lie in (0, 1), got {args.t}", EXIT_INPUT)
     diagram = _load_rank3(args.path)
@@ -370,8 +390,7 @@ def cmd_geodesic_test(args) -> int:
         }
     except (SasakitError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
-    print(dumps(out), end="")
-    return EXIT_OK
+    return _emit(out, EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

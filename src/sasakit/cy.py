@@ -43,6 +43,11 @@ class CalabiYauData:
         """A in SL(m+1, Z) with A(l*gamma) = (-1, 0, ..., 0); one Smith transform per object."""
         return complete_to_unimodular(tuple(int(g * self.height) for g in self.gamma))
 
+    @cached_property
+    def normalizer_inverse_transpose(self) -> IntMatrix:
+        """A^-T, which carries the normals to normalized ones; one inverse per object."""
+        return self.normalizer.inverse_unimodular().transpose()
+
 
 @dataclass(frozen=True)
 class KernelLattice:
@@ -83,12 +88,11 @@ def normalize_height(
     the normal form above, and every transformed normal (the inverse
     transpose acting on the original ones) has first component exactly l.
     """
-    A = cy.normalizer
-    at_inv = A.inverse_unimodular().transpose()
+    at_inv = cy.normalizer_inverse_transpose
     new_normals = [at_inv.mul_vector(v) for v in diagram.normals]
     assert all(v[0] == cy.height for v in new_normals)
     # a unimodular image of a validated diagram is valid: no second Fourier-Motzkin
-    return A, ToricDiagram(rank=diagram.rank, normals=tuple(new_normals))
+    return cy.normalizer, ToricDiagram(rank=diagram.rank, normals=tuple(new_normals))
 
 
 def kernel_lattice(
@@ -101,22 +105,18 @@ def kernel_lattice(
     condition does: with all first components equal to l it asks that l
     times the coordinate sum be an integer both on the kernel subspace and
     on rational preimages of the standard lattice generators.  Pass cy=None
-    to skip it (the field is then None).
+    to skip it (the field is then None).  Once the normals are normalized
+    the condition always holds: the first row of N (the rank x d matrix
+    whose columns are the normals) is l(1, ..., 1), so l times the
+    coordinate sum of x is (Nx)_1, which is 0 on the kernel and 0 or 1 on a
+    preimage of e_k.  So only the normalization is checked.
 
-    Cost: one Fraction elimination of [N | I] (N the rank x d matrix whose
-    columns are the normals), pivoting on the columns of N only.  Its free
-    columns give the kernel basis; augmented column k holds the preimage of
-    e_k with free variables 0.  Both coordinate sums are read from the
-    pivot rows alone, rank Fractions each: the kernel vector of free column
-    f sums to 1 minus column f over the pivot rows, and the preimage of e_k
-    to augmented column k over them.  The component group is the
-    transform-free `invariant_factors`, with no Smith transforms.
+    Cost: one Fraction elimination of N, whose free columns give the kernel
+    basis, and the transform-free `invariant_factors` for the component
+    group.
     """
-    d, rank = diagram.d, diagram.rank
-    identity = IntMatrix.identity(rank).entries
-    # rank x (d + rank): the normals as columns, then the standard generators
-    augmented = [list(col) + list(e) for col, e in zip(zip(*diagram.normals), identity)]
-    rows, pivots = rref(augmented, d)
+    d = diagram.d
+    rows, pivots = rref(list(zip(*diagram.normals)), d)
     basis = tuple(tuple(b) for b in kernel_basis_from_rref(rows, pivots, d))
     component_group = invariant_factors(IntMatrix.from_columns(diagram.normals))
 
@@ -128,15 +128,7 @@ def kernel_lattice(
                 "kernel integrality check requires normals with first component "
                 f"{ell}; run normalize_height first"
             )
-        # coordinate sums from the pivot rows alone: a kernel vector is e_f
-        # minus column f over the pivots, a preimage is column d + k there
-        pivot_rows = rows[: len(pivots)]
-        row_sum_ok = all(
-            sum(row[f] for row in pivot_rows) == 1 for f in range(d) if f not in pivots
-        ) and all(
-            (ell * sum(row[d + k] for row in pivot_rows)).denominator == 1
-            for k in range(rank)
-        )
+        row_sum_ok = True
     return KernelLattice(
         basis=basis,
         component_group=component_group,

@@ -1,16 +1,20 @@
+import csv
+import io
 import json
 import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from sasakit import cli
 from sasakit.cli import main
 from sasakit.cy import compute_gamma
-from sasakit.errors import DiagramError
-from sasakit.serialize import diagram_to_dict, dumps, load_diagram
-from sasakit import lattice, lens, main4_even, non_cy
+from sasakit.errors import DiagramError, SasakitError
+from sasakit.reeb import minimize_volume, volume
+from sasakit.serialize import diagram_to_dict, dumps, format_float, load_diagram
+from sasakit import lattice, lens, main4_even, main4_odd, non_cy
 
 
 def write_diagram(tmp_path, name, normals):
@@ -113,7 +117,40 @@ def test_analyze_malformed_scan_is_input_error(tmp_path, capsys, scan):
     assert not out_csv.exists()
 
 
-def test_analyze_reeb_checks_every_start(tmp_path, capsys, monkeypatch):
+def test_analyze_reeb_scan_csv_bytes(tmp_path, capsys):
+    # the CSV as the numpy formula (1 - tau) xi* + tau v wrote it: one full
+    # ray and one that leaves the Reeb cone after 29 points
+    diagram = main4_odd(3, 2)
+    directions = ["3,1,20", "3,6,0"]
+    path = write_diagram(tmp_path, "m4.json", diagram.normals)
+    scan = tmp_path / "scan.csv"
+    argv = ["analyze", path, "--reeb", "--scan-out", str(scan)]
+    code, _ = run(capsys, argv + [arg for raw in directions for arg in ("--scan", raw)])
+    assert code == 0
+
+    xi_star = np.array(minimize_volume(diagram, compute_gamma(diagram)).xi.xi)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(["ray", "tau", "xi1", "xi2", "xi3", "volume"])
+    lengths = []
+    for ridx, raw in enumerate(directions):
+        v = np.asarray([float(x) for x in raw.split(",")], dtype=float)
+        for k in range(41):
+            tau = k / 40 * 0.95
+            xi = (1 - tau) * xi_star + tau * v
+            try:
+                vol = volume(diagram, tuple(float(x) for x in xi))
+            except SasakitError:
+                break
+            writer.writerow(
+                [ridx, format_float(tau)] + [format_float(x) for x in xi] + [format_float(vol)]
+            )
+        lengths.append(k)
+    assert lengths == [40, 29]
+    assert scan.read_bytes() == expected.getvalue().encode()
+
+
+def _restarts_fail(monkeypatch):
     minimize = cli.minimize_volume
 
     def restarts_fail(diagram, cy, start_offset=None):
@@ -121,10 +158,36 @@ def test_analyze_reeb_checks_every_start(tmp_path, capsys, monkeypatch):
         return replace(res, converged=start_offset is None)
 
     monkeypatch.setattr(cli, "minimize_volume", restarts_fail)
+
+
+def test_analyze_reeb_checks_every_start(tmp_path, capsys, monkeypatch):
+    _restarts_fail(monkeypatch)
     path = write_diagram(tmp_path, "lens2.json", lens(2).normals)
     code, out = run(capsys, ["analyze", path, "--reeb"])
     assert code == 4
     assert "volume minimization did not converge" in json.loads(out)["error"]
+
+
+@pytest.mark.parametrize("flags, timed", [([], False), (["--timings"], True)])
+def test_analyze_failures_report_timing_only_when_asked(
+    tmp_path, capsys, monkeypatch, flags, timed
+):
+    path = write_diagram(tmp_path, "lens2.json", lens(2).normals)
+    # exit 1: a malformed --scan
+    code, out = run(capsys, ["analyze", path, "--reeb", "--scan", "1,2"] + flags)
+    assert code == 1
+    assert ("timing_seconds" in json.loads(out)) == timed
+    # exit 1: an unreadable input file
+    code, out = run(capsys, ["analyze", str(tmp_path / "missing.json")] + flags)
+    assert code == 1
+    assert ("timing_seconds" in json.loads(out)) == timed
+    # exit 4: restarts that do not converge
+    _restarts_fail(monkeypatch)
+    code, out = run(capsys, ["analyze", path, "--reeb"] + flags)
+    assert code == 4
+    payload = json.loads(out)
+    assert "volume minimization did not converge" in payload["error"]
+    assert ("timing_seconds" in payload) == timed
 
 
 def test_analyze_reeb_without_gamma_exits_3(tmp_path, capsys):
@@ -326,3 +389,19 @@ def test_analyze_runs_one_transform_snf(tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
     assert code == 0
     assert shapes == [(3, 1)]
+
+
+def test_analyze_runs_one_normalizer_inverse(tmp_path, capsys, monkeypatch):
+    # the cy stage and the three Reeb starts share one A^-T
+    calls = []
+    inverse = lattice.IntMatrix.inverse_unimodular
+
+    def counted(m):
+        calls.append(m.entries)
+        return inverse(m)
+
+    monkeypatch.setattr(lattice.IntMatrix, "inverse_unimodular", counted)
+    path = write_diagram(tmp_path, "m4.json", main4_even(8, 3).normals)
+    code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
+    assert code == 0
+    assert len(calls) == 1

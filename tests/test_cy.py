@@ -206,7 +206,7 @@ def _kernel_corpus():
 
 
 def test_kernel_lattice_matches_per_question_eliminations():
-    # one elimination of [N | I] against rational_kernel_basis + solve_rational
+    # one elimination of N against rational_kernel_basis + solve_rational
     for d in _kernel_corpus():
         cy = compute_gamma(d)
         if cy is None:
