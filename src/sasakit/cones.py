@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import wraps
 from math import gcd
 
 from .errors import (
@@ -30,7 +30,8 @@ from .lattice import (
     IntVector,
     _as_int_vector,
     make_primitive,
-    rational_rank,
+    rref,
+    solve_rational,
     sublattice_saturation_equal,
     vector_gcd,
 )
@@ -68,6 +69,36 @@ class FaceDescriptor:
         return self.witness is not None
 
 
+def _kept_on_diagram(fn):
+    """Memoize fn(diagram) in the diagram's __dict__, so it lives as long as the diagram."""
+    @wraps(fn)
+    def memo(diagram):
+        if fn.__name__ not in diagram.__dict__:
+            diagram.__dict__[fn.__name__] = fn(diagram)
+        return diagram.__dict__[fn.__name__]
+    return memo
+
+
+@_kept_on_diagram
+def elimination(diagram: ToricDiagram):
+    """`rref` of N, the rank x d matrix whose columns are the normals: the one
+    Fraction elimination behind the rank, gamma and the kernel basis."""
+    return rref(list(zip(*diagram.normals)), diagram.d)
+
+
+@_kept_on_diagram
+def height_covector(diagram: ToricDiagram) -> tuple[Fraction, ...] | None:
+    """gamma with <gamma, lambda_i> = -1 for every normal, or None.
+
+    (-1, ..., -1) is in the row space of N exactly when the nonzero rref rows
+    sum to (1, ..., 1); then gamma solves the pivot normals' system.
+    """
+    rows, pivots = elimination(diagram)
+    if any(sum(col) != 1 for col in zip(*rows[: len(pivots)])):
+        return None
+    return tuple(solve_rational([diagram.normals[c] for c in pivots], [-1] * len(pivots)))
+
+
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
@@ -85,9 +116,9 @@ def _cross(a, b) -> IntVector:
 def _fm_feasible(constraints, nvars):
     """Witness for the system <c, y> >= r, or None if infeasible.
 
-    Small-scale Fourier-Motzkin over Fraction.  It is the package's single
-    interior test, at every rank, and runs once per diagram: `interior_point`
-    caches it for validation and the rank-3 skeleton alike.
+    Small-scale Fourier-Motzkin over Fraction, at any rank.  Its cost
+    depends on the lattice basis, so `interior_point` runs it only on
+    diagrams without a height covector, where it is the only interior test.
     """
     levels = [[(tuple(map(Fraction, c)), Fraction(r)) for c, r in constraints]]
     for k in range(nvars - 1, -1, -1):
@@ -130,9 +161,16 @@ def _fm_feasible(constraints, nvars):
     return witness
 
 
-@lru_cache(maxsize=256)
+@_kept_on_diagram
 def interior_point(diagram: ToricDiagram):
-    """A rational point y with <y, lambda_i> >= 1 for every normal."""
+    """A rational point y with <y, lambda_i> >= 1 for every normal.
+
+    -gamma, pairing to exactly 1, when the height covector exists; otherwise
+    Fourier-Motzkin decides, raising EmptyInterior.
+    """
+    gamma = height_covector(diagram)
+    if gamma is not None:
+        return tuple(-g for g in gamma)
     w = _fm_feasible([(lam, 1) for lam in diagram.normals], diagram.rank)
     if w is None:
         raise EmptyInterior()
@@ -145,7 +183,7 @@ def validate_diagram(normals, rank: int | None = None) -> ToricDiagram:
     """Check primitivity, distinctness, nonempty interior and strong convexity.
 
     Raises NonPrimitiveNormal, RedundantNormal, EmptyInterior or
-    DegenerateCone; returns the validated diagram otherwise.
+    DegenerateCone, in that order; the rank is read from `elimination`.
     """
     vecs = [_as_int_vector(v) for v in normals]
     if not vecs:
@@ -165,7 +203,7 @@ def validate_diagram(normals, rank: int | None = None) -> ToricDiagram:
         seen[v] = i
     diagram = ToricDiagram(rank=m1, normals=tuple(vecs))
     interior_point(diagram)  # raises EmptyInterior
-    found = rational_rank(vecs)
+    found = len(elimination(diagram)[1])
     if found < m1:
         raise DegenerateCone(m1, found)
     return diagram
@@ -193,15 +231,15 @@ class ConeSkeleton:
     empty: tuple[int, ...]
 
 
-@lru_cache(maxsize=256)
+@_kept_on_diagram
 def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     """The skeleton from one exact convex hull of the normals.
 
     Seen from the interior witness w, the normals are points of the plane
     <w, y> = 1; their hull vertices are the true facets and its edges the
-    extreme rays.  Cost: one Fourier-Motzkin witness (shared with
-    validation), an O(d log d) sort, and O(h*d) integer dot products for
-    h extreme rays.
+    extreme rays, whichever the witness.  Cost: the witness of validation
+    (-gamma, or Fourier-Motzkin without a height covector), an O(d log d)
+    sort, and O(h*d) integer dot products for h extreme rays.
     """
     if diagram.rank != 3:
         raise ValueError("face enumeration is implemented for rank 3 only")

@@ -14,16 +14,13 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cones import ToricDiagram
-from .errors import NotNormalized
+from .cones import ToricDiagram, elimination, height_covector
 from .lattice import (
     IntMatrix,
     complete_to_unimodular,
     invariant_factors,
     is_primitive,
     kernel_basis_from_rref,
-    rref,
-    solve_rational,
 )
 from .lattice import smith_normal_form  # noqa: F401  perfbench/tracing.py patches this name
 
@@ -55,7 +52,6 @@ class KernelLattice:
 
     basis: tuple[tuple[Fraction, ...], ...]
     component_group: tuple[int, ...]
-    row_sum_times_height_integral: bool | None
 
     @property
     def rank(self) -> int:
@@ -65,14 +61,13 @@ class KernelLattice:
 def compute_gamma(diagram: ToricDiagram) -> CalabiYauData | None:
     """Solve <gamma, lambda_i> = -1 for all i, exactly.
 
-    Returns None when the system is inconsistent (no height structure).
-    The height is the lcm of the denominators of gamma; this automatically
-    makes height*gamma primitive whenever integer normals admit a gamma.
+    Returns None when the system is inconsistent (no height structure);
+    gamma comes from the diagram's one elimination.  The height is the lcm
+    of the denominators of gamma, which makes height*gamma primitive.
     """
-    gamma = solve_rational(diagram.normals, [-1] * diagram.d)
+    gamma = height_covector(diagram)
     if gamma is None:
         return None
-    gamma = tuple(gamma)
     height = lcm(*(g.denominator for g in gamma)) if gamma else 1
     scaled = tuple(int(g * height) for g in gamma)
     assert is_primitive(scaled), "height*gamma must be primitive"
@@ -95,42 +90,16 @@ def normalize_height(
     return cy.normalizer, ToricDiagram(rank=diagram.rank, normals=tuple(new_normals))
 
 
-def kernel_lattice(
-    diagram: ToricDiagram, cy: CalabiYauData | None = None
-) -> KernelLattice:
-    """Kernel basis, component group, and the height integrality condition.
+def kernel_lattice(diagram: ToricDiagram) -> KernelLattice:
+    """Kernel basis (free columns of the diagram's elimination) and component group.
 
-    The component group (invariant factors of the quotient lattice by the
-    span of the normals) never needs the height data.  The integrality
-    condition does: with all first components equal to l it asks that l
-    times the coordinate sum be an integer both on the kernel subspace and
-    on rational preimages of the standard lattice generators.  Pass cy=None
-    to skip it (the field is then None).  Once the normals are normalized
-    the condition always holds: the first row of N (the rank x d matrix
-    whose columns are the normals) is l(1, ..., 1), so l times the
-    coordinate sum of x is (Nx)_1, which is 0 on the kernel and 0 or 1 on a
-    preimage of e_k.  So only the normalization is checked.
-
-    Cost: one Fraction elimination of N, whose free columns give the kernel
-    basis, and the transform-free `invariant_factors` for the component
-    group.
+    The normalized copy A^-T N of `normalize_height` is row-equivalent to N,
+    so it has the same rref, kernel basis and invariant factors.  Its first
+    row is l(1, ..., 1), so l times the coordinate sum is always integral on
+    the kernel and on preimages of the lattice generators.
     """
-    d = diagram.d
-    rows, pivots = rref(list(zip(*diagram.normals)), d)
-    basis = tuple(tuple(b) for b in kernel_basis_from_rref(rows, pivots, d))
-    component_group = invariant_factors(IntMatrix.from_columns(diagram.normals))
-
-    row_sum_ok: bool | None = None
-    if cy is not None:
-        ell = cy.height
-        if any(v[0] != ell for v in diagram.normals):
-            raise NotNormalized(
-                "kernel integrality check requires normals with first component "
-                f"{ell}; run normalize_height first"
-            )
-        row_sum_ok = True
+    rows, pivots = elimination(diagram)
     return KernelLattice(
-        basis=basis,
-        component_group=component_group,
-        row_sum_times_height_integral=row_sum_ok,
+        basis=tuple(tuple(b) for b in kernel_basis_from_rref(rows, pivots, diagram.d)),
+        component_group=invariant_factors(IntMatrix.from_columns(diagram.normals)),
     )

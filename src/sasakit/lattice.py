@@ -384,10 +384,10 @@ def rref(rows, ncols):
 
     Columns past `ncols` (an augmented right-hand side) are carried along but
     never pivoted on.  Columns are taken left to right, each pivoting on its
-    first nonzero row at or below the current rank; kernel bases, and the
-    Reeb slice frame built from them, depend on that column order.  Returns
-    the reduced rows and the pivot columns: reduced row i has its leading 1
-    in column pivots[i].
+    first nonzero row at or below the current rank; the kernel basis of
+    `kernel_basis_from_rref` depends on that column order.  Returns the
+    reduced rows and the pivot columns: reduced row i has its leading 1 in
+    column pivots[i].
     """
     rows = [list(map(Fraction, r)) for r in rows]
     pivots = []
@@ -423,18 +423,6 @@ def solve_rational(a, b):
     for row, c in zip(rows, pivots):
         x[c] = row[-1]
     return x
-
-
-def rational_rank(a) -> int:
-    if not a:
-        return 0
-    return len(rref(a, len(a[0]))[1])
-
-
-def rational_kernel_basis(a):
-    """Basis of the right kernel of `a` over Fraction, one vector per free column."""
-    ncols = len(a[0])
-    return kernel_basis_from_rref(*rref(a, ncols), ncols)
 
 
 def kernel_basis_from_rref(rows, pivots, ncols):

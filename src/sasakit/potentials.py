@@ -114,7 +114,6 @@ class SymplecticPotential:
     """Weighted entropy terms plus weighted extras, on one diagram."""
 
     diagram: ToricDiagram
-    kind: str
     entropy: tuple[tuple[float, tuple[float, ...]], ...]
     extras: tuple[tuple[float, ExtraTerm], ...] = ()
 
@@ -182,7 +181,6 @@ def canonical_potential(diagram: ToricDiagram) -> SymplecticPotential:
     """Half the sum of l log l over the facet forms."""
     return SymplecticPotential(
         diagram=diagram,
-        kind="canonical",
         entropy=tuple((0.5, tuple(float(x) for x in lam)) for lam in diagram.normals),
     )
 
@@ -200,15 +198,14 @@ def canonical_xi_potential(diagram: ToricDiagram, xi) -> SymplecticPotential:
     entropy = [(0.5, tuple(float(x) for x in lam)) for lam in diagram.normals]
     entropy.append((0.5, tuple(float(x) for x in xi)))
     entropy.append((-0.5, tuple(float(x) for x in xi_can)))
-    return SymplecticPotential(diagram=diagram, kind="canonical_xi", entropy=tuple(entropy))
+    return SymplecticPotential(diagram=diagram, entropy=tuple(entropy))
 
 
 def shifted_potential(
-    base: SymplecticPotential, extra: ExtraTerm, coeff: float = 1.0, kind: str = "shifted"
+    base: SymplecticPotential, extra: ExtraTerm, coeff: float = 1.0
 ) -> SymplecticPotential:
     return SymplecticPotential(
         diagram=base.diagram,
-        kind=kind,
         entropy=base.entropy,
         extras=base.extras + ((coeff, extra),),
     )
@@ -223,9 +220,7 @@ def _combine(g0: SymplecticPotential, g1: SymplecticPotential, t: float) -> Symp
     extras = tuple(((1 - t) * c, g) for c, g in g0.extras) + tuple(
         (t * c, g) for c, g in g1.extras
     )
-    return SymplecticPotential(
-        diagram=g0.diagram, kind=f"segment(t={t:g})", entropy=entropy, extras=extras
-    )
+    return SymplecticPotential(diagram=g0.diagram, entropy=entropy, extras=extras)
 
 
 def geodesic_segment(

@@ -56,7 +56,8 @@ def _gamma_entry(s) -> Fraction:
 def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
     """Diagram (and optional height data) from parsed JSON; DiagramError if malformed.
 
-    A given "gamma" and "height" must be the diagram's own (`cy.compute_gamma`).
+    A given "gamma" and "height", together or alone, must be the diagram's
+    own (`cy.compute_gamma`); a "gamma" without "height" claims height 1.
     """
     if not isinstance(data, dict):
         raise DiagramError(f"diagram JSON must be an object, got {type(data).__name__}")
@@ -73,20 +74,23 @@ def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
     if rank is not None and not _is_int(rank):
         raise DiagramError(f'"rank" must be an integer, got {rank!r}')
     diagram = validate_diagram(normals, rank=rank)
-    cy = None
-    if "gamma" in data:
-        if not isinstance(data["gamma"], list):
-            raise DiagramError('"gamma" must be a list of rationals like "-1/2"')
-        gamma = tuple(_gamma_entry(s) for s in data["gamma"])
-        height = data.get("height", 1)
-        if not _is_int(height):
-            raise DiagramError(f'"height" must be an integer, got {height!r}')
-        cy = compute_gamma(diagram)
-        if cy is None:
-            raise DiagramError('"gamma" given, but no covector pairs to -1 with every normal')
-        if (gamma, height) != (cy.gamma, cy.height):
-            want = [fraction_to_str(g) for g in cy.gamma]
-            raise DiagramError(f'"gamma" and "height" must be {want} and {cy.height}')
+    if "gamma" not in data and "height" not in data:
+        return diagram, None
+    if "gamma" in data and not isinstance(data["gamma"], list):
+        raise DiagramError('"gamma" must be a list of rationals like "-1/2"')
+    gamma = tuple(map(_gamma_entry, data["gamma"])) if "gamma" in data else None
+    height = data.get("height", 1)
+    if not _is_int(height):
+        raise DiagramError(f'"height" must be an integer, got {height!r}')
+    cy = compute_gamma(diagram)
+    if cy is None:
+        given = '"gamma"' if gamma is not None else '"height"'
+        raise DiagramError(f"{given} given, but no covector pairs to -1 with every normal")
+    if gamma is None and height != cy.height:
+        raise DiagramError(f'"height" must be {cy.height}')
+    if gamma is not None and (gamma, height) != (cy.gamma, cy.height):
+        want = [fraction_to_str(g) for g in cy.gamma]
+        raise DiagramError(f'"gamma" and "height" must be {want} and {cy.height}')
     return diagram, cy
 
 

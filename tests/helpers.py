@@ -8,10 +8,14 @@ from fractions import Fraction
 from math import gcd
 
 import numpy as np
+import sympy
 
 from sasakit import (
     DegenerateCone,
+    EmptyInterior,
     MinimizationResult,
+    NonPrimitiveNormal,
+    RedundantNormal,
     ReebVector,
     canonical_reeb,
     extreme_rays,
@@ -19,14 +23,14 @@ from sasakit import (
     truncated_polytope,
     validate_diagram,
 )
-from sasakit.cones import ConeSkeleton, ToricDiagram, _cross, _dot
+from sasakit.cones import ConeSkeleton, ToricDiagram, _cross, _dot, _fm_feasible
 from sasakit.lattice import (
     IntMatrix,
     IntVector,
     make_primitive,
-    rational_kernel_basis,
     smith_normal_form,
     solve_rational,
+    vector_gcd,
 )
 
 
@@ -195,15 +199,44 @@ def saturation_snf_oracle(vectors) -> bool:
     return all(x == 1 for x in snf.diagonal[: len(cols)])
 
 
+def nullspace(rows):
+    """sympy's kernel basis of a rational matrix, one vector per free column, as Fractions."""
+    return [[Fraction(int(x.p), int(x.q)) for x in v] for v in sympy.Matrix(rows).nullspace()]
+
+
+def validation_oracle(normals):
+    """The verdict of the earlier validation path, as an exception class or None.
+
+    Primitivity, distinctness, then Fourier-Motzkin on every diagram for the
+    interior, then sympy's rank of the normals: no shared elimination.
+    """
+    vecs = [tuple(v) for v in normals]
+    if any(vector_gcd(v) != 1 for v in vecs):
+        return NonPrimitiveNormal
+    if len(set(vecs)) < len(vecs):
+        return RedundantNormal
+    if _fm_feasible([(v, 1) for v in vecs], len(vecs[0])) is None:
+        return EmptyInterior
+    if sympy.Matrix(vecs).rank() < len(vecs[0]):
+        return DegenerateCone
+    return None
+
+
+def gamma_oracle(normals):
+    """The height covector by one d x rank solve of <gamma, lambda_i> = -1, or None."""
+    gamma = solve_rational([list(v) for v in normals], [-1] * len(normals))
+    return None if gamma is None else tuple(gamma)
+
+
 def kernel_lattice_oracle(diagram: ToricDiagram, height: int):
     """Kernel basis and height integrality flag by one elimination per question.
 
-    The kernel from `rational_kernel_basis`, and one `solve_rational` per
+    The kernel from sympy's `nullspace`, and one `solve_rational` per
     standard generator for its preimage (free variables 0); the flag asks
     that `height` times every coordinate sum be an integer.
     """
     matrix = [list(col) for col in zip(*diagram.normals)]
-    basis = tuple(tuple(b) for b in rational_kernel_basis(matrix))
+    basis = tuple(tuple(b) for b in nullspace(matrix))
     generators = IntMatrix.identity(diagram.rank).entries
     flag = all(sum(b) == 0 for b in basis) and all(
         (height * sum(solve_rational(matrix, e))).denominator == 1 for e in generators
@@ -309,7 +342,7 @@ def minimize_volume_bb(diagram, cy, start_offset=None, tol=1e-11, max_iter=20000
     m1 = diagram.rank
     xi_can = canonical_reeb(diagram)
     x0 = np.array([float(Fraction(x) * m1 / -cy.pairing(xi_can)) for x in xi_can])
-    kernel = rational_kernel_basis([list(map(Fraction, cy.gamma))])
+    kernel = nullspace([list(cy.gamma)])
     frame, _ = np.linalg.qr(np.array([[float(x) for x in b] for b in kernel]).T)
 
     def inside(t):

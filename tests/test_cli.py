@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import json
+import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -8,13 +10,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sasakit import cli
+from sasakit import cli, cones
 from sasakit.cli import main
+from sasakit.cones import ToricDiagram
 from sasakit.cy import compute_gamma
 from sasakit.errors import DiagramError, SasakitError
 from sasakit.reeb import minimize_volume, volume
 from sasakit.serialize import diagram_to_dict, dumps, format_float, load_diagram
-from sasakit import lattice, lens, main4_even, main4_odd, non_cy
+from sasakit import lattice, lens, main4_even, main4_odd, non_cy, z5_lens
+
+from helpers import random_sl3
 
 
 def write_diagram(tmp_path, name, normals):
@@ -243,6 +248,29 @@ def test_analyze_svg(tmp_path, capsys):
     assert "<svg" in body and "polygon" in body
 
 
+# each output path is in a missing directory; a grid needs at least one point
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--reeb", "--scan", "2,2,2", "--scan-out", "missing/scan.csv"],
+        ["--potential-grid", "3", "--grid-out", "missing/grid.csv"],
+        ["--emit-svg", "missing/z5.svg"],
+        ["--potential-grid", "-3", "--grid-out", "grid.csv"],
+        ["--potential-grid", "0", "--grid-out", "grid.csv"],
+    ],
+    ids=["scan-out", "grid-out", "emit-svg", "grid-negative", "grid-zero"],
+)
+def test_analyze_output_boundary_is_input_error(tmp_path, capsys, flags):
+    path = write_diagram(tmp_path, "z5.json", z5_lens().normals)
+    flags = [str(tmp_path / f) if f.endswith((".csv", ".svg")) else f for f in flags]
+    code = main(["analyze", path, *flags])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert json.loads(captured.out)["error"]
+    assert captured.err == ""
+    assert not (tmp_path / "grid.csv").exists()
+
+
 def test_analyze_svg_requires_height1(tmp_path, capsys):
     path = write_diagram(tmp_path, "lens2.json", lens(2).normals)
     code, _ = run(capsys, ["analyze", path, "--emit-svg", str(tmp_path / "x.svg")])
@@ -320,6 +348,18 @@ def test_load_diagram_checks_gamma_and_height(tmp_path):
             load_diagram(str(path))
     path.write_text(json.dumps({**diagram_to_dict(non_cy(2)), "gamma": ["-1", "-1", "-1"]}))
     with pytest.raises(DiagramError, match="no covector"):
+        load_diagram(str(path))
+
+
+def test_load_diagram_checks_a_lone_height(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({**diagram_to_dict(lens(2)), "height": 7}))
+    with pytest.raises(DiagramError, match='"height" must be 2'):
+        load_diagram(str(path))
+    path.write_text(json.dumps({**diagram_to_dict(lens(2)), "height": 2}))
+    assert load_diagram(str(path))[1] == compute_gamma(lens(2))
+    path.write_text(json.dumps({**diagram_to_dict(non_cy(2)), "height": 1}))
+    with pytest.raises(DiagramError, match='"height" given, but no covector'):
         load_diagram(str(path))
 
 
@@ -405,3 +445,49 @@ def test_analyze_runs_one_normalizer_inverse(tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
     assert code == 0
     assert len(calls) == 1
+
+
+def test_analyze_runs_one_elimination_of_the_normals(tmp_path, capsys, monkeypatch):
+    # rank, gamma, the interior witness and the kernel basis all read one
+    # rref of N; a diagram with a height covector never runs Fourier-Motzkin
+    shear = lattice.IntMatrix.from_rows([[1, 0, 0], [1, 1, 0], [2, -1, 1]])
+    normals = [shear.mul_vector(v) for v in main4_odd(19, 0).normals]
+    widths, systems = [], []
+    rref, fm_feasible = lattice.rref, cones._fm_feasible
+
+    def counted_rref(rows, ncols):
+        widths.append(ncols)
+        return rref(rows, ncols)
+
+    def counted_fm(constraints, nvars):
+        systems.append(len(constraints))
+        return fm_feasible(constraints, nvars)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("sasakit") and getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", counted_rref)
+    monkeypatch.setattr(cones, "_fm_feasible", counted_fm)
+    path = write_diagram(tmp_path, "m4.json", normals)
+    code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
+    assert code == 0
+    assert widths.count(len(normals)) == 1
+    assert systems == []
+
+
+def test_analyze_keeps_no_diagram_alive(tmp_path, capsys):
+    # results are kept on their diagram, not in a module cache, so no
+    # diagram outlives the analyze call that loaded it
+    def alive():
+        gc.collect()
+        return [o for o in gc.get_objects() if isinstance(o, ToricDiagram)]
+
+    before = alive()  # held, so no new diagram can reuse one of their ids
+    known = {id(o) for o in before}
+    rng = random.Random(8)
+    path = tmp_path / "d.json"
+    for k in range(300):
+        shear = random_sl3(rng)
+        path.write_text(dumps({"normals": [shear.mul_vector(v) for v in lens(1 + k % 6).normals]}))
+        code, _ = run(capsys, ["analyze", str(path), "--cy", "--topo", "--reeb"])
+        assert code == 0
+    assert [o.normals for o in alive() if id(o) not in known] == []

@@ -3,7 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+import sympy
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sasakit import (
     DegenerateCone,
@@ -17,21 +18,26 @@ from sasakit import (
     is_good,
     is_good_height1_3d,
     lens,
+    main4_even,
+    main4_odd,
     non_cy,
     reeb_cone_contains,
     validate_diagram,
     z5_lens,
 )
 
-from sasakit.cones import cone_skeleton
-from sasakit.lattice import make_primitive, rational_rank
+from sasakit import cones
+from sasakit.cones import cone_skeleton, height_covector
+from sasakit.lattice import IntMatrix, make_primitive
 
 from helpers import (
+    gamma_oracle,
     octant,
     random_convex_height1_diagram,
     random_sl3,
     skeleton_oracle,
     transform_normals,
+    validation_oracle,
 )
 
 
@@ -74,6 +80,82 @@ def test_interior_point_strict():
     d = lens(3)
     y = interior_point(d)
     assert all(sum(a * b for a, b in zip(y, lam)) > 0 for lam in d.normals)
+
+
+# --- one elimination against the earlier path -----------------------------------
+
+def assert_matches_earlier_path(normals):
+    """Verdict, gamma and witness against Fourier-Motzkin, sympy rank and a d x 3 solve."""
+    expected = validation_oracle(normals)
+    try:
+        d = validate_diagram(normals)
+    except (NonPrimitiveNormal, RedundantNormal, EmptyInterior, DegenerateCone) as exc:
+        assert type(exc) is expected
+        return
+    assert expected is None
+    assert height_covector(d) == gamma_oracle(normals)
+    assert all(sum(a * b for a, b in zip(interior_point(d), lam)) >= 1 for lam in normals)
+
+
+@st.composite
+def raw_box_normals(draw):
+    """Box normals of every verdict: raw, primitive, flat (rank 2), or of height l."""
+    kind = draw(st.sampled_from(["raw", "primitive", "flat", "height"]))
+    coord = st.integers(-2, 2)
+    if kind == "height":
+        ell = draw(st.integers(1, 3))
+        vec = st.tuples(st.just(ell), st.integers(-3, 3), st.integers(-3, 3))
+    elif kind == "flat":
+        vec = st.tuples(coord, coord, st.just(0))
+    else:
+        vec = st.tuples(coord, coord, coord)
+    vecs = draw(st.lists(vec, min_size=1, max_size=9))
+    if kind != "raw":
+        vecs = list(dict.fromkeys(make_primitive(v) for v in vecs if any(v)))
+        assume(vecs)
+    if draw(st.booleans()):
+        m = random_sl3(draw(st.randoms(use_true_random=False)))
+        vecs = [m.mul_vector(v) for v in vecs]
+    return vecs
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_box_normals())
+@example([(1, 0, 0), (-1, 0, 0), (0, 1, 0)])  # empty interior
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 0)])  # degenerate, no gamma
+@example([(1, 0, 0), (0, 1, 0), (2, -1, 0)])  # degenerate with gamma (-1, -1, 0)
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])  # valid, no gamma
+def test_validation_matches_earlier_path_on_box_diagrams(normals):
+    assert_matches_earlier_path(normals)
+
+
+def test_validation_matches_earlier_path_on_families():
+    rng = random.Random(21)
+    family = [lens(ell) for ell in range(1, 6)] + [z5_lens(), octant()]
+    family += [non_cy(ell) for ell in range(2, 5)]
+    family += [main4_even(2, 1), main4_even(8, 3), main4_odd(3, 2), main4_odd(19, 4)]
+    for d in family:
+        for m in (IntMatrix.identity(3), random_sl3(rng), random_sl3(rng)):
+            assert_matches_earlier_path([m.mul_vector(v) for v in d.normals])
+
+
+def test_fourier_motzkin_runs_only_without_a_height_covector(monkeypatch):
+    systems = []
+    fm_feasible = cones._fm_feasible
+    no_gamma = non_cy(2).normals
+
+    def counted(constraints, nvars):
+        systems.append(len(constraints))
+        return fm_feasible(constraints, nvars)
+
+    monkeypatch.setattr(cones, "_fm_feasible", counted)
+    validate_diagram(no_gamma)
+    assert systems == [4]
+    # a centred, sheared d = 161 parabola, where Fourier-Motzkin took seconds
+    shear = IntMatrix.from_rows([[1, 0, 0], [3, 1, 0], [5, 7, 1]])
+    d = validate_diagram([shear.mul_vector((1, i, i * i)) for i in range(-80, 81)])
+    assert systems == [4]
+    assert interior_point(d) == tuple(-g for g in height_covector(d))
 
 
 # --- face enumeration -----------------------------------------------------------
@@ -181,7 +263,7 @@ def box_diagrams(draw):
         )
     )
     vecs = list(dict.fromkeys(make_primitive(v) for v in vecs))
-    assume(len(vecs) >= 3 and rational_rank(vecs) == 3)
+    assume(len(vecs) >= 3 and sympy.Matrix(vecs).rank() == 3)
     return validate_diagram(vecs)
 
 

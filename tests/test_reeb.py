@@ -23,6 +23,7 @@ from sasakit.serialize import format_float
 
 from helpers import (
     minimize_volume_bb,
+    nullspace,
     octant,
     random_convex_height1_diagram,
     random_sl3,
@@ -117,11 +118,7 @@ def test_volume_midpoint_convexity():
     cy = compute_gamma(d)
     rng = np.random.default_rng(5)
     from sasakit import canonical_reeb
-    from sasakit.lattice import rational_kernel_basis
-
-    frame = np.array(
-        [[float(x) for x in b] for b in rational_kernel_basis([list(cy.gamma)])]
-    ).T
+    frame = np.array([[float(x) for x in b] for b in nullspace([list(cy.gamma)])]).T
     x0 = np.array([float(x) for x in canonical_reeb(d)])
     assert cy.pairing(tuple(Fraction(int(v)) for v in x0)) == -3
     count = 0
