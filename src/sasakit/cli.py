@@ -190,20 +190,21 @@ def _emit_svg(diagram: ToricDiagram, path: str) -> None:
 
 def _write_grid_csv(diagram: ToricDiagram, n: int, path: str) -> int:
     _load_potentials()
-    pot = canonical_potential(diagram)
-    center = _interior_sample(diagram)
     rows = []
-    for i in range(n):
-        factor = 0.5 + (i / (n - 1) if n > 1 else 0.5)
-        y = center * factor
-        sample = eval_potential(pot, y)
-        resid = legendre_roundtrip_error(pot, y)
-        rows.append(
-            [format_float(v) for v in sample.y]
-            + [format_float(sample.G)]
-            + [format_float(v) for v in sample.x]
-            + [format_float(sample.F), format_float(resid)]
-        )
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        pot = canonical_potential(diagram)
+        center = _interior_sample(diagram)
+        for i in range(n):
+            factor = 0.5 + (i / (n - 1) if n > 1 else 0.5)
+            y = center * factor
+            sample = eval_potential(pot, y)
+            resid = legendre_roundtrip_error(pot, y)
+            rows.append(
+                [format_float(v) for v in sample.y]
+                + [format_float(sample.G)]
+                + [format_float(v) for v in sample.x]
+                + [format_float(sample.F), format_float(resid)]
+            )
     m1 = diagram.rank
     header = (
         [f"y{i + 1}" for i in range(m1)]
@@ -329,7 +330,7 @@ def cmd_analyze(args) -> int:
         grid_path = args.grid_out or "potential_grid.csv"
         try:
             npts = _write_grid_csv(diagram, args.potential_grid, grid_path)
-        except SasakitError as exc:
+        except (SasakitError, ArithmeticError, np.linalg.LinAlgError) as exc:
             return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL, t_start)
         except OSError as exc:
             return _fail(str(exc), EXIT_INPUT, t_start)
@@ -368,32 +369,32 @@ def cmd_geodesic_test(args) -> int:
     if diagram is None:
         return EXIT_INPUT
     try:
-        g0 = canonical_potential(diagram)
-        bump = RationalBump(0, 1)
-        y = _interior_sample(diagram)
-        if y.sum() <= 0:
-            raise ArithmeticError("sample point leaves the bump domain")
-        g1 = shifted_potential(g0, bump)
-        g1_linear = shifted_potential(g0, LinearTerm([0.25] * diagram.rank, 0.0))
-        steps = (1e-2, 5e-3, 2.5e-3)
-        vals = [abs(geodesic_equation_residual(g0, g1, y, t=args.t, h=h)) for h in steps]
-        order = float(np.log2(vals[0] / vals[1])) if vals[1] > 0 else float("inf")
-        out = {
-            "input": diagram_to_dict(diagram),
-            "tool": _tool_block(),
-            "t": format_float(args.t),
-            "point": [format_float(v) for v in y],
-            "reeb_invariance_residual_bump": format_float(
-                reeb_invariance_residual(bump, y)
-            ),
-            "geodesic_residuals": {
-                format_float(h): format_float(v) for h, v in zip(steps, vals)
-            },
-            "convergence_order": format_float(order),
-            "linear_shift_residual": format_float(
-                abs(geodesic_equation_residual(g0, g1_linear, y, t=args.t, h=1e-3))
-            ),
-        }
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            g0 = canonical_potential(diagram)
+            # <sum of normals, y> is positive on the whole cone, in every basis
+            bump = RationalBump(0, 1, c=[float(v) for v in canonical_reeb(diagram)])
+            y = _interior_sample(diagram)
+            g1 = shifted_potential(g0, bump)
+            g1_linear = shifted_potential(g0, LinearTerm([0.25] * diagram.rank, 0.0))
+            steps = (1e-2, 5e-3, 2.5e-3)
+            vals = [abs(geodesic_equation_residual(g0, g1, y, t=args.t, h=h)) for h in steps]
+            order = float(np.log2(vals[0] / vals[1])) if vals[1] > 0 else float("inf")
+            out = {
+                "input": diagram_to_dict(diagram),
+                "tool": _tool_block(),
+                "t": format_float(args.t),
+                "point": [format_float(v) for v in y],
+                "reeb_invariance_residual_bump": format_float(
+                    reeb_invariance_residual(bump, y)
+                ),
+                "geodesic_residuals": {
+                    format_float(h): format_float(v) for h, v in zip(steps, vals)
+                },
+                "convergence_order": format_float(order),
+                "linear_shift_residual": format_float(
+                    abs(geodesic_equation_residual(g0, g1_linear, y, t=args.t, h=1e-3))
+                ),
+            }
     except (SasakitError, ArithmeticError, np.linalg.LinAlgError) as exc:
         return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
     return _emit(out, EXIT_OK)

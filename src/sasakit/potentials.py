@@ -1,9 +1,12 @@
 """Torus-invariant symplectic potentials and their Legendre transforms.
 
 Potentials live on the open cone interior and are sums of entropy terms
-c * l(y) log l(y) for linear forms l, plus optional smooth extra terms.
-The lattice side of the package is exact; this side is plain float work,
-with finite-difference stencils scaled to stay inside the domain.
+w * l(y) log l(y) for linear forms l, plus optional smooth extra terms.  A
+potential keeps its weights as one vector and its forms as one matrix, so
+value, gradient and Hessian are whole-array expressions, and the segment
+between two potentials concatenates them.  The lattice side of the package
+is exact; this side is plain float work, with finite-difference stencils
+scaled to stay inside the domain.
 
 The dual picture is recovered numerically: the gradient map y -> x is
 inverted with a damped Newton solve, which gives pointwise access to the
@@ -15,7 +18,7 @@ potentials preserves the pairing vector (degree-zero gradient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,37 +40,43 @@ class ExtraTerm:
 
 
 class RationalBump(ExtraTerm):
-    """g(y) = y_i * y_j / (y_1 + ... + y_n), homogeneous of degree 1.
+    """g(y) = y_i * y_j / <c, y>, homogeneous of degree 1, on <c, y> > 0.
 
+    c defaults to all ones.  A c positive on the whole cone, such as the
+    sum of the normals, makes the domain independent of the lattice basis.
     Its gradient is degree 0, so the radial (Euler) derivative of the
     gradient vanishes identically: adding it to a potential keeps the
     pairing vector.
     """
 
-    def __init__(self, i: int = 0, j: int = 1):
+    def __init__(self, i: int = 0, j: int = 1, c=None):
         self.i, self.j = i, j
+        self.c = None if c is None else np.asarray(c, dtype=float)
+
+    def _pairing(self, y):
+        c = np.ones_like(y) if self.c is None else self.c
+        return c, (c * y).sum()
 
     def value(self, y):
-        return y[self.i] * y[self.j] / y.sum()
+        return y[self.i] * y[self.j] / self._pairing(y)[1]
 
     def grad(self, y):
-        s = y.sum()
-        g = np.full_like(y, -y[self.i] * y[self.j] / s**2)
+        c, s = self._pairing(y)
+        g = -y[self.i] * y[self.j] / s**2 * c
         g[self.i] += y[self.j] / s
         g[self.j] += y[self.i] / s
         return g
 
     def hess(self, y):
         n = len(y)
-        s = y.sum()
+        c, s = self._pairing(y)
         e_i = np.eye(n)[self.i]
         e_j = np.eye(n)[self.j]
-        ones = np.ones(n)
         h = (
             (np.outer(e_i, e_j) + np.outer(e_j, e_i)) / s
-            - (y[self.j] * (np.outer(e_i, ones) + np.outer(ones, e_i))) / s**2
-            - (y[self.i] * (np.outer(e_j, ones) + np.outer(ones, e_j))) / s**2
-            + 2 * y[self.i] * y[self.j] * np.outer(ones, ones) / s**3
+            - (y[self.j] * (np.outer(e_i, c) + np.outer(c, e_i))) / s**2
+            - (y[self.i] * (np.outer(e_j, c) + np.outer(c, e_j))) / s**2
+            + 2 * y[self.i] * y[self.j] * np.outer(c, c) / s**3
         )
         return h
 
@@ -109,54 +118,45 @@ class LinearTerm(ExtraTerm):
         return np.zeros((len(y), len(y)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymplecticPotential:
-    """Weighted entropy terms plus weighted extras, on one diagram."""
+    """sum_a weights[a] l_a log l_a over the levels l = forms @ y, plus extras.
+
+    `forms` is a k x n float array, one row per entropy term.  eq=False:
+    the generated comparison would raise on the array fields.
+    """
 
     diagram: ToricDiagram
-    entropy: tuple[tuple[float, tuple[float, ...]], ...]
+    weights: np.ndarray
+    forms: np.ndarray
     extras: tuple[tuple[float, ExtraTerm], ...] = ()
 
-    def _forms(self, y: np.ndarray) -> np.ndarray:
-        return np.array([np.dot(vec, y) for _, vec in self.entropy])
-
     def domain_contains(self, y) -> bool:
-        y = np.asarray(y, dtype=float)
-        return bool(np.all(self._forms(y) > 0))
+        return bool(np.all(self.forms @ np.asarray(y, dtype=float) > 0))
 
-    def _require_interior(self, y: np.ndarray):
-        if not np.all(self._forms(y) > 0):
-            raise BoundaryOrOutside(
-                "point is outside the domain of this potential"
-            )
+    def _levels(self, y: np.ndarray) -> np.ndarray:
+        """The form values l = forms @ y, which must all be positive."""
+        levels = self.forms @ y
+        if not np.all(levels > 0):
+            raise BoundaryOrOutside("point is outside the domain of this potential")
+        return levels
 
     def value(self, y) -> float:
         y = np.asarray(y, dtype=float)
-        self._require_interior(y)
-        vals = self._forms(y)
-        total = sum(c * v * np.log(v) for (c, _), v in zip(self.entropy, vals))
-        total += sum(c * g.value(y) for c, g in self.extras)
-        return float(total)
+        levels = self._levels(y)
+        total = self.weights @ (levels * np.log(levels))
+        return float(total + sum(c * g.value(y) for c, g in self.extras))
 
     def grad(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        self._require_interior(y)
-        out = np.zeros_like(y)
-        for c, vec in self.entropy:
-            l = np.dot(vec, y)
-            out += c * (np.log(l) + 1.0) * np.asarray(vec, dtype=float)
+        out = (self.weights * (np.log(self._levels(y)) + 1.0)) @ self.forms
         for c, g in self.extras:
             out += c * g.grad(y)
         return out
 
     def hess(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        self._require_interior(y)
-        n = len(y)
-        out = np.zeros((n, n))
-        for c, vec in self.entropy:
-            v = np.asarray(vec, dtype=float)
-            out += c * np.outer(v, v) / np.dot(v, y)
+        out = (self.forms.T * (self.weights / self._levels(y))) @ self.forms
         for c, g in self.extras:
             out += c * g.hess(y)
         return out
@@ -177,12 +177,16 @@ class PotentialSample:
         return self.gradG
 
 
+def _entropy_potential(diagram: ToricDiagram, *corrections) -> SymplecticPotential:
+    """Half of l log l for every facet normal, plus (weight, form) corrections."""
+    weights = [0.5] * diagram.d + [w for w, _ in corrections]
+    forms = [*diagram.normals, *(form for _, form in corrections)]
+    return SymplecticPotential(diagram, np.array(weights), np.array(forms, dtype=float))
+
+
 def canonical_potential(diagram: ToricDiagram) -> SymplecticPotential:
     """Half the sum of l log l over the facet forms."""
-    return SymplecticPotential(
-        diagram=diagram,
-        entropy=tuple((0.5, tuple(float(x) for x in lam)) for lam in diagram.normals),
-    )
+    return _entropy_potential(diagram)
 
 
 def canonical_xi_potential(diagram: ToricDiagram, xi) -> SymplecticPotential:
@@ -194,33 +198,27 @@ def canonical_xi_potential(diagram: ToricDiagram, xi) -> SymplecticPotential:
     """
     if not reeb_cone_contains(diagram, xi):
         raise BoundaryOrOutside("xi is not interior to the Reeb cone")
-    xi_can = canonical_reeb(diagram)
-    entropy = [(0.5, tuple(float(x) for x in lam)) for lam in diagram.normals]
-    entropy.append((0.5, tuple(float(x) for x in xi)))
-    entropy.append((-0.5, tuple(float(x) for x in xi_can)))
-    return SymplecticPotential(diagram=diagram, entropy=tuple(entropy))
+    return _entropy_potential(diagram, (0.5, xi), (-0.5, canonical_reeb(diagram)))
 
 
 def shifted_potential(
     base: SymplecticPotential, extra: ExtraTerm, coeff: float = 1.0
 ) -> SymplecticPotential:
-    return SymplecticPotential(
-        diagram=base.diagram,
-        entropy=base.entropy,
-        extras=base.extras + ((coeff, extra),),
-    )
+    return replace(base, extras=base.extras + ((coeff, extra),))
 
 
 def _combine(g0: SymplecticPotential, g1: SymplecticPotential, t: float) -> SymplecticPotential:
     if g0.diagram != g1.diagram:
         raise MismatchedDiagrams("potentials live on different diagrams")
-    entropy = tuple(((1 - t) * c, vec) for c, vec in g0.entropy) + tuple(
-        (t * c, vec) for c, vec in g1.entropy
-    )
     extras = tuple(((1 - t) * c, g) for c, g in g0.extras) + tuple(
         (t * c, g) for c, g in g1.extras
     )
-    return SymplecticPotential(diagram=g0.diagram, entropy=entropy, extras=extras)
+    return SymplecticPotential(
+        diagram=g0.diagram,
+        weights=np.concatenate([(1 - t) * g0.weights, t * g1.weights]),
+        forms=np.concatenate([g0.forms, g1.forms]),
+        extras=extras,
+    )
 
 
 def geodesic_segment(
@@ -284,8 +282,8 @@ def invert_gradient(
     else:
         y = np.asarray(y0, dtype=float).copy()
     scale = 1.0 + float(np.linalg.norm(x))
+    resid = pot.grad(y) - x
     for _ in range(max_iter):
-        resid = pot.grad(y) - x
         norm0 = np.linalg.norm(resid)
         if norm0 <= tol * scale:
             return y
@@ -293,18 +291,18 @@ def invert_gradient(
         alpha = 1.0
         while alpha > 1e-16:
             cand = y + alpha * step
-            if pot.domain_contains(cand) and (
-                np.linalg.norm(pot.grad(cand) - x) < norm0
-            ):
-                break
+            if pot.domain_contains(cand):
+                cand_resid = pot.grad(cand) - x
+                if np.linalg.norm(cand_resid) < norm0:
+                    break
             alpha *= 0.5
         else:
             raise StencilOutsideDomain("gradient inversion stalled at the boundary")
-        y = cand
-    resid = np.linalg.norm(pot.grad(y) - x)
-    if resid > 1e-8 * scale:
+        y, resid = cand, cand_resid
+    norm = np.linalg.norm(resid)
+    if norm > 1e-8 * scale:
         raise StencilOutsideDomain(
-            f"gradient inversion did not converge (residual {resid:.3e})"
+            f"gradient inversion did not converge (residual {norm:.3e})"
         )
     return y
 
@@ -312,8 +310,7 @@ def invert_gradient(
 def legendre_roundtrip_error(pot: SymplecticPotential, y) -> float:
     """Relative error of y -> x -> y through the dual gradient map."""
     y = np.asarray(y, dtype=float)
-    x, _ = legendre(pot, y)
-    back = invert_gradient(pot, x, y0=y * 1.1)
+    back = invert_gradient(pot, pot.grad(y), y0=y * 1.1)
     return float(np.linalg.norm(back - y) / (1.0 + np.linalg.norm(y)))
 
 
@@ -380,7 +377,6 @@ def geodesic_equation_residual(
         raise ValueError("fd_order must be 2 or 4")
     y = np.asarray(y, dtype=float)
     center = _combine(g0, g1, t)
-    center._require_interior(y)
     x_bar = center.grad(y)
 
     def solve(tau: float) -> tuple[np.ndarray, float]:

@@ -389,3 +389,90 @@ def minimize_volume_bb(diagram, cy, start_offset=None, tol=1e-11, max_iter=20000
         iterations=iterations,
         converged=converged,
     )
+
+
+class LoopPotential:
+    """Reference for `sasakit.SymplecticPotential`: the per-term loops.
+
+    `entropy` is a tuple of (weight, form) pairs and `extras` of (weight,
+    ExtraTerm) pairs; value, gradient and Hessian add one term at a time.
+    `sizes` returns the same three quantities with every term replaced by
+    its absolute value, the scale of their rounding.
+    """
+
+    def __init__(self, entropy, extras=()):
+        self.entropy = tuple((float(c), tuple(float(x) for x in vec)) for c, vec in entropy)
+        self.extras = tuple(extras)
+
+    def _forms(self, y):
+        return np.array([np.dot(vec, y) for _, vec in self.entropy])
+
+    def _terms(self, y):
+        y = np.asarray(y, dtype=float)
+        assert np.all(self._forms(y) > 0), "point is outside the domain"
+        for c, vec in self.entropy:
+            v = np.asarray(vec, dtype=float)
+            lev = np.dot(v, y)
+            yield c * lev * np.log(lev), c * (np.log(lev) + 1.0) * v, c * np.outer(v, v) / lev
+        for c, g in self.extras:
+            yield c * g.value(y), c * g.grad(y), c * g.hess(y)
+
+    def value(self, y):
+        return float(sum(t[0] for t in self._terms(y)))
+
+    def grad(self, y):
+        return sum(t[1] for t in self._terms(y))
+
+    def hess(self, y):
+        return sum(t[2] for t in self._terms(y))
+
+    def sizes(self, y):
+        terms = list(self._terms(y))
+        return tuple(sum(np.abs(t[k]) for t in terms) for k in range(3))
+
+
+def loop_canonical(diagram, xi=None):
+    """The canonical potential, or with `xi` the pairing-adapted one."""
+    entropy = [(0.5, lam) for lam in diagram.normals]
+    if xi is not None:
+        entropy += [(0.5, xi), (-0.5, canonical_reeb(diagram))]
+    return LoopPotential(entropy)
+
+
+def loop_segment(g0: LoopPotential, g1: LoopPotential, t: float) -> LoopPotential:
+    """(1 - t) g0 + t g1, term by term."""
+    return LoopPotential(
+        [((1 - t) * c, v) for c, v in g0.entropy] + [(t * c, v) for c, v in g1.entropy],
+        [((1 - t) * c, g) for c, g in g0.extras] + [(t * c, g) for c, g in g1.extras],
+    )
+
+
+class OnesBump:
+    """Reference for `RationalBump(i, j)`: y_i y_j / (y_1 + ... + y_n), as
+    written before the bump took a covector."""
+
+    def __init__(self, i: int = 0, j: int = 1):
+        self.i, self.j = i, j
+
+    def value(self, y):
+        return y[self.i] * y[self.j] / y.sum()
+
+    def grad(self, y):
+        s = y.sum()
+        g = np.full_like(y, -y[self.i] * y[self.j] / s**2)
+        g[self.i] += y[self.j] / s
+        g[self.j] += y[self.i] / s
+        return g
+
+    def hess(self, y):
+        n = len(y)
+        s = y.sum()
+        e_i = np.eye(n)[self.i]
+        e_j = np.eye(n)[self.j]
+        ones = np.ones(n)
+        return (
+            (np.outer(e_i, e_j) + np.outer(e_j, e_i)) / s
+            - (y[self.j] * (np.outer(e_i, ones) + np.outer(ones, e_i))) / s**2
+            - (y[self.i] * (np.outer(e_j, ones) + np.outer(ones, e_j))) / s**2
+            + 2 * y[self.i] * y[self.j] * np.outer(ones, ones) / s**3
+        )

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import gc
 import io
@@ -5,10 +6,13 @@ import json
 import random
 import subprocess
 import sys
+import tempfile
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sasakit import cli, cones
 from sasakit.cli import main
@@ -310,6 +314,76 @@ def test_geodesic_test_subcommand(tmp_path, capsys):
     assert float(payload["reeb_invariance_residual_bump"]) < 1e-6
     assert float(payload["convergence_order"]) > 1.8
     assert float(payload["linear_shift_residual"]) < 1e-6
+
+
+def test_geodesic_test_bump_domain_is_basis_free(tmp_path, capsys):
+    # lens 2 in a basis where y1 + y2 + y3 < 0 on the whole cone, then random shears
+    rng = random.Random(9)
+    sheared = [[(1, 0, -2), (0, 1, -2), (1, 1, -2)]]
+    sheared += [[random_sl3(rng).mul_vector(v) for v in lens(2).normals] for _ in range(5)]
+    for normals in sheared:
+        path = write_diagram(tmp_path, "sheared.json", normals)
+        code, out = run(capsys, ["geodesic-test", path])
+        assert code == 0, out
+        payload = json.loads(out)
+        assert float(payload["reeb_invariance_residual_bump"]) < 1e-9
+        # second order, unless the bump vanishes to rounding at the sample point
+        residual = float(payload["geodesic_residuals"]["0.01"])
+        assert float(payload["convergence_order"]) > 1.8 or residual < 1e-10
+
+
+SHEAR_ENTRIES = st.sampled_from([0, 1, -2, 10**200, -(10**200), 10**400]) | st.integers(-1000, 1000)
+
+
+@st.composite
+def sheared_normals(draw):
+    """Small good diagrams under unimodular shears with entries up to 1e400."""
+    a, b, c, e, f, g = (draw(SHEAR_ENTRIES) for _ in range(6))
+    octant = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    base = draw(st.sampled_from([octant, lens(2).normals, z5_lens().normals]))
+    lower = lattice.IntMatrix.from_rows([[1, 0, 0], [a, 1, 0], [b, c, 1]])
+    upper = lattice.IntMatrix.from_rows([[1, e, f], [0, 1, g], [0, 0, 1]])
+    return {"normals": [list((lower @ upper).mul_vector(v)) for v in base]}
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["rank", "normals", "gamma", "height"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(JSON_VALUES | sheared_normals())
+@example({"normals": [[1, 10**200, 0], [0, 1, 10**200 + 1], [0, 0, 1]]})
+@example({"normals": [[1, 0, 0], [0, 1, 0], [1, 1, 10**200]]})
+def test_cli_boundary_fuzz(value):
+    """Exit 0-4 with one JSON document and nothing on stderr, warnings included.
+
+    The examples: the octant sheared by [[1,0,0],[N,1,0],[0,N+1,1]] at N = 1e200
+    (an OverflowError in the grid), and a lens whose third normal has a 1e200
+    entry (NaN and numpy warnings in the grid and in geodesic-test).
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = f"{tmp}/input.json"
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(value, fh)
+        for argv in (
+            ["check", path],
+            ["analyze", path, "--cy", "--topo", "--reeb"],
+            ["analyze", path, "--potential-grid", "3", "--grid-out", f"{tmp}/grid.csv"],
+            ["geodesic-test", path],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            assert code in range(5), argv
+            json.loads(out.getvalue())
+            assert err.getvalue() == "" and not caught, (argv, caught)
 
 
 def test_console_entry_point_subprocess(tmp_path):

@@ -1,7 +1,9 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sasakit import (
     BoundaryOrOutside,
@@ -16,15 +18,32 @@ from sasakit import (
     eval_canonical_xi,
     geodesic_equation_residual,
     geodesic_segment,
+    invert_gradient,
     legendre,
     legendre_roundtrip_error,
     lens,
+    main4_even,
+    main4_odd,
     shifted_potential,
     z5_lens,
 )
-from sasakit.potentials import dual_hessian_fd, hessian_identity_error, reeb_invariance_residual
+from sasakit.potentials import (
+    SymplecticPotential,
+    dual_hessian_fd,
+    hessian_identity_error,
+    reeb_invariance_residual,
+)
 
-from helpers import interior_points, octant
+from helpers import (
+    LoopPotential,
+    OnesBump,
+    interior_points,
+    loop_canonical,
+    loop_segment,
+    octant,
+    random_sl3,
+    transform_normals,
+)
 
 
 def test_canonical_values_octant():
@@ -208,3 +227,119 @@ def test_geodesic_residual_t_validation():
         geodesic_equation_residual(g0, g0, (1, 1, 1), t=0.0)
     with pytest.raises(ValueError):
         geodesic_equation_residual(g0, g0, (1, 1, 1), t=0.5, fd_order=3)
+
+
+def test_default_bump_is_the_ones_bump():
+    # c defaults to all ones, and an explicit all-ones c is the same function, bit for bit
+    rng = np.random.default_rng(5)
+    old = OnesBump(0, 1)
+    for bump in (RationalBump(0, 1), RationalBump(0, 1, c=(1, 1, 1))):
+        for y in rng.uniform(0.1, 3.0, size=(50, 3)):
+            assert bump.value(y) == old.value(y)
+            assert np.array_equal(bump.grad(y), old.grad(y))
+            assert np.array_equal(bump.hess(y), old.hess(y))
+
+
+def test_bump_with_covector_derivatives():
+    c = np.array([2.0, -1.0, 3.0])
+    bump = RationalBump(2, 0, c=c)
+    y = np.array([0.7, 0.4, 1.1])
+    assert bump.value(y) == pytest.approx(y[2] * y[0] / (c @ y), rel=1e-15)
+    h = 1e-5
+    for k in range(3):
+        e = np.eye(3)[k] * h
+        fd_grad = (bump.value(y + e) - bump.value(y - e)) / (2 * h)
+        fd_hess = (bump.grad(y + e) - bump.grad(y - e)) / (2 * h)
+        assert bump.grad(y)[k] == pytest.approx(fd_grad, rel=1e-8)
+        assert np.allclose(bump.hess(y)[:, k], fd_hess, rtol=1e-7, atol=1e-9)
+    assert reeb_invariance_residual(bump, y) < 1e-9
+
+
+FAMILY = [octant(), lens(2), lens(5), z5_lens(), main4_even(2, 1), main4_odd(3, 2)]
+
+
+@st.composite
+def potentials_with_reference(draw):
+    """(potential, its per-term reference, an interior point) on a family
+    member or a shear of one: canonical, pairing-adapted, shifted by all
+    three extra terms, or a segment at a random t."""
+    d = draw(st.sampled_from(FAMILY))
+    if draw(st.booleans()):
+        d = transform_normals(d, random_sl3(draw(st.randoms(use_true_random=False))))
+    xi = tuple(a + b for a, b in zip(canonical_reeb(d), d.normals[0]))
+    extras = [
+        (0.7, RationalBump(0, 2, c=canonical_reeb(d))),
+        (-0.3, QuadraticCoordinate(1)),
+        (1.5, LinearTerm([0.2, -0.4, 0.9], 0.3)),
+    ]
+    shifted = canonical_xi_potential(d, xi)
+    for coeff, extra in extras:
+        shifted = shifted_potential(shifted, extra, coeff)
+    ref_shifted = LoopPotential(loop_canonical(d, xi).entropy, extras)
+    t = draw(st.floats(0.0, 1.0))
+    pot, ref = draw(
+        st.sampled_from(
+            [
+                (canonical_potential(d), loop_canonical(d)),
+                (canonical_xi_potential(d, xi), loop_canonical(d, xi)),
+                (shifted, ref_shifted),
+                (
+                    geodesic_segment(canonical_potential(d), shifted, t),
+                    loop_segment(loop_canonical(d), ref_shifted, t),
+                ),
+            ]
+        )
+    )
+    y = interior_points(d, 1, seed=draw(st.integers(0, 2**16)))[0]
+    return pot, ref, y
+
+
+@settings(max_examples=100, deadline=None)
+@given(potentials_with_reference())
+def test_kernel_matches_per_term_loops(case):
+    pot, ref, y = case
+    for got, want, size in zip(
+        (pot.value(y), pot.grad(y), pot.hess(y)),
+        (ref.value(y), ref.grad(y), ref.hess(y)),
+        ref.sizes(y),
+    ):
+        assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * size)
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Count value, grad and hess calls, and trial points found inside the domain."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(self, y):
+            result = fn(self, y)
+            if name != "domain_contains" or result:
+                calls[name] += 1
+            return result
+
+        return wrapper
+
+    for name in ("value", "grad", "hess", "domain_contains"):
+        fn = getattr(SymplecticPotential, name)
+        monkeypatch.setattr(SymplecticPotential, name, counted(name, fn))
+    return calls
+
+
+def test_newton_evaluates_one_gradient_per_trial_point(monkeypatch):
+    d = lens(2)
+    pot = canonical_xi_potential(d, (2, 2, 3))
+    points = interior_points(d, 5, seed=41)
+    targets = [pot.grad(y) for y in points]
+    calls = _count_calls(monkeypatch)
+    for y, x in zip(points, targets):
+        calls.clear()
+        invert_gradient(pot, x, y0=y * 1.1)
+        newton = dict(calls)
+        # the start, then each trial point inside the domain; one Hessian per step
+        assert newton["grad"] == 1 + newton["domain_contains"]
+        assert 1 <= newton["hess"] <= newton["domain_contains"]
+        assert "value" not in newton
+        calls.clear()
+        legendre_roundtrip_error(pot, y)
+        # the round trip adds one gradient to the same solve, and no value or Hessian
+        assert dict(calls) == {**newton, "grad": newton["grad"] + 1}
