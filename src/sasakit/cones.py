@@ -14,6 +14,7 @@ normal directions are rejected.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -239,7 +240,9 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     <w, y> = 1; their hull vertices are the true facets and its edges the
     extreme rays, whichever the witness.  Cost: the witness of validation
     (-gamma, or Fourier-Motzkin without a height covector), an O(d log d)
-    sort, and O(h*d) integer dot products for h extreme rays.
+    sort of integer chart keys (Fractions without a height covector), at
+    most 4d integer det3 tests for the hull, and for each normal off the
+    hull two bisections and at most four integer dot products with rays.
     """
     if diagram.rank != 3:
         raise ValueError("face enumeration is implemented for rank 3 only")
@@ -247,10 +250,10 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     w = interior_point(diagram)
     k = next(i for i, x in enumerate(w) if x != 0)
     a, b = (k + 1) % 3, (k + 2) % 3  # w_k != 0: these two coordinates chart the plane
-
-    def chart(i):
-        s = _dot(w, normals[i])
-        return normals[i][a] / s, normals[i][b] / s
+    if height_covector(diagram) is not None:  # w = -gamma pairs to 1 with every normal
+        keys = [(lam[a], lam[b]) for lam in normals]
+    else:
+        keys = [(lam[a] / _dot(w, lam), lam[b] / _dot(w, lam)) for lam in normals]
 
     # Andrew's monotone chain, strict left turns only.  The sort is just a
     # sweep of the plane; the integer det3 test alone fixes the orientation.
@@ -262,26 +265,39 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
             ) <= 0:
                 out.pop()
             out.append(i)
-        return out[:-1]
+        return out
 
-    order = sorted(range(len(normals)), key=chart)
-    hull = chain(order) + chain(reversed(order))
+    order = sorted(range(len(normals)), key=keys.__getitem__)
+    lower, upper = chain(order), chain(reversed(order))
+    hull = lower[:-1] + upper[:-1]
     # counterclockwise, so det3(normals[c0], normals[c1], sum of hull normals) > 0
     first = hull.index(min(hull))
     facet_cycle = hull[first:] + hull[:first]
     # rays[i] is shared by facet_cycle[i] and facet_cycle[i+1]
-    rays = [
-        make_primitive(_cross(normals[i], normals[j]))
-        for i, j in zip(facet_cycle, facet_cycle[1:] + facet_cycle[:1])
-    ]
-    active = [frozenset(n for n, lam in enumerate(normals) if _dot(r, lam) == 0) for r in rays]
-    touching = set().union(*active)
+    pairs = list(zip(facet_cycle, facet_cycle[1:] + facet_cycle[:1]))
+    rays = [make_primitive(_cross(normals[i], normals[j])) for i, j in pairs]
+    active = [set(pair) for pair in pairs]
+    # Both chains are monotone in the chart's x, so a normal off the hull can
+    # lie only on the edges of each chain whose x-range holds its own x: at
+    # most two, as two vertices of one chain share an x only at its ends.
+    off_hull = sorted(set(range(len(normals))) - set(hull))
+    grazing = set()
+    for sign, ch, offset in ((1, lower, 0), (-1, upper, len(lower) - 1)):
+        xs = [sign * keys[v][0] for v in ch]
+        for n in off_hull:
+            x = sign * keys[n][0]
+            lo, hi = bisect_left(xs, x), bisect_right(xs, x)
+            for j in range(max(lo - 1, 0), min(hi, len(ch) - 1)):  # edge j joins ch[j], ch[j+1]
+                pos = (offset + j - first) % len(hull)
+                if _dot(rays[pos], normals[n]) == 0:
+                    active[pos].add(n)
+                    grazing.add(n)
     return ConeSkeleton(
         rays=tuple(rays),
-        active=tuple(active),
+        active=tuple(map(frozenset, active)),
         facet_cycle=tuple(facet_cycle),
-        grazing=tuple(sorted(touching - set(hull))),
-        empty=tuple(sorted(set(range(len(normals))) - touching)),
+        grazing=tuple(sorted(grazing)),
+        empty=tuple(n for n in off_hull if n not in grazing),
     )
 
 
@@ -300,9 +316,9 @@ def enumerate_faces_3d(diagram: ToricDiagram) -> list[FaceDescriptor]:
         r2 = sk.rays[pos]
         witness = tuple(a + b for a, b in zip(r1, r2))
         faces.append(FaceDescriptor(kind="facet", indices=(i,), witness=witness))
-    for i in sk.grazing:
-        ray = next(r for r, act in zip(sk.rays, sk.active) if i in act)
-        faces.append(FaceDescriptor(kind="facet", indices=(i,), witness=ray))
+    ray_of = {i: ray for ray, act in zip(sk.rays, sk.active) for i in act}
+    for i in sk.grazing:  # a grazing normal is active on exactly one ray
+        faces.append(FaceDescriptor(kind="facet", indices=(i,), witness=ray_of[i]))
     for i in sk.empty:
         faces.append(FaceDescriptor(kind="facet", indices=(i,), witness=None))
     for ray, act in zip(sk.rays, sk.active):
@@ -334,14 +350,15 @@ def is_good(diagram: ToricDiagram, faces=None) -> GoodnessReport:
 
     For each face, the normals vanishing on it must be linearly independent
     over Z and span a saturated sublattice.  At rank 3 the faces are found
-    automatically; at other ranks the caller supplies `faces` as index sets.
+    automatically and only the edges are checked: a validated normal is
+    primitive, so a facet's one normal always spans a saturated line.  Cost
+    at rank 3: `cone_skeleton` and one closed-form saturation test per
+    extreme ray.  At other ranks the caller supplies `faces` as index sets.
     """
     if faces is None:
         if diagram.rank != 3:
             raise ValueError("supply a face list for ranks other than 3")
-        face_sets = [
-            f.indices for f in enumerate_faces_3d(diagram) if f.nonempty
-        ]
+        face_sets = [f.indices for f in enumerate_faces_3d(diagram) if f.kind == "edge"]
     else:
         face_sets = [tuple(sorted(f)) for f in faces]
     for idxs in face_sets:

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -274,12 +275,64 @@ def height1_diagrams(draw):
     return d
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.one_of(box_diagrams(), height1_diagrams()),
-    st.booleans(),
-    st.randoms(use_true_random=False),
-)
+@st.composite
+def grazing_diagrams(draw):
+    """A height-1 polygon with extra normals on its edges and inside it.
+
+    An edge normal is a primitive positive combination s*lam + t*mu of two
+    adjacent hull normals, so it vanishes on their ray alone.  When `flat`,
+    s + t is the gcd of the edge vector, so the normal is a lattice point of
+    the edge, the inner normals are lattice points of the polygon, gamma
+    exists and the chart keys are the integers (p, q), where the box
+    polygons give chart x ties and vertical edges.  Otherwise s, t are free,
+    an inner normal is the primitive sum of three hull normals, and gamma
+    mostly does not exist (Fraction keys).
+    """
+    d = random_convex_height1_diagram(draw(st.randoms(use_true_random=False)))
+    assume(d is not None)
+    hull, h = d.normals, d.d
+    flat = draw(st.booleans())
+    weights = st.integers(1, 4)
+    normals = list(hull)
+    edge_normals = st.lists(
+        st.tuples(st.integers(0, h - 1), weights, weights), min_size=1, max_size=6
+    )
+    for i, s, t in draw(edge_normals):
+        lam, mu = hull[i], hull[i - 1]
+        if flat:
+            g = gcd(lam[1] - mu[1], lam[2] - mu[2])
+            if g == 1:
+                continue
+            t = 1 + t % (g - 1)
+            s = g - t
+        normals.append(make_primitive(tuple(s * x + t * y for x, y in zip(lam, mu))))
+    if flat:
+        box = range(-8, 9)
+        edges = list(zip(hull[-1:] + hull[:-1], hull))  # counterclockwise
+        inner = [(1, p, q) for p in box for q in box if all(
+            (b[1] - a[1]) * (q - a[2]) > (b[2] - a[2]) * (p - a[1]) for a, b in edges)]
+    else:
+        trios = itertools.combinations(hull, 3)
+        inner = [make_primitive(tuple(map(sum, zip(*trio)))) for trio in trios]
+    if inner:
+        normals += draw(st.lists(st.sampled_from(inner), max_size=3))
+    return validate_diagram(draw(st.permutations(list(dict.fromkeys(normals)))))
+
+
+def corpus():
+    return st.one_of(box_diagrams(), height1_diagrams(), grazing_diagrams())
+
+
+# a square with one normal on each vertical edge, one on its bottom edge and
+# one inside, at the chart x of the bottom one: every bisection case
+SQUARE_WITH_EDGE_NORMALS = [
+    (1, 0, 0), (1, 2, 0), (1, 2, 2), (1, 0, 2), (1, 2, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpus(), st.booleans(), st.randoms(use_true_random=False))
+@example(validate_diagram(SQUARE_WITH_EDGE_NORMALS), False, random.Random(0))
 def test_hull_skeleton_matches_all_pairs_oracle(d, shear, rng):
     if shear:
         d = transform_normals(d, random_sl3(rng))
@@ -300,7 +353,8 @@ def test_grazing_normal_touches_one_ray():
 
 
 def test_facet_witnesses_lie_on_their_facet():
-    for d in (octant(), lens(3), z5_lens(), non_cy(2)):
+    square = validate_diagram(SQUARE_WITH_EDGE_NORMALS)
+    for d in (octant(), lens(3), z5_lens(), non_cy(2), square):
         for f in enumerate_faces_3d(d):
             if not f.nonempty:
                 continue
@@ -340,6 +394,37 @@ def test_not_good_non_saturated_edge():
     coeffs = span_membership([(1, 0, 0), (1, 2, 0)], (1, 1, 0))
     assert coeffs is not None
     assert any(c.denominator != 1 for c in coeffs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpus(), st.booleans(), st.randoms(use_true_random=False))
+def test_rank3_goodness_of_edges_is_goodness_of_all_faces(d, shear, rng):
+    if shear:
+        d = transform_normals(d, random_sl3(rng))
+    all_faces = [f.indices for f in enumerate_faces_3d(d) if f.nonempty]
+    assert is_good(d) == is_good(d, faces=all_faces)
+
+
+def test_skeleton_dot_products_are_linear_in_d(monkeypatch):
+    # the d = 641 parabola: one dot product per (ray, normal) pair would make
+    # h * d = 641**2 calls; its one non-primitive edge joins i = -320 and 320
+    shear = IntMatrix.from_rows([[1, 0, 0], [3, 1, 0], [5, 7, 1]])
+    plain = [(1, i, i * i) for i in range(-320, 321)]
+    dot = cones._dot
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return dot(a, b)
+
+    for normals in (plain, [shear.mul_vector(v) for v in plain]):
+        d = validate_diagram(normals)
+        calls.clear()
+        monkeypatch.setattr(cones, "_dot", counted)
+        cone_skeleton(d)
+        monkeypatch.undo()
+        assert 0 < len(calls) <= 10 * d.d
+        assert is_good(d).failing_face == (0, 640)
 
 
 def test_is_good_general_rank_with_supplied_faces():
