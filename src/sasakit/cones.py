@@ -28,11 +28,12 @@ from .errors import (
     RedundantNormal,
 )
 from .lattice import (
+    IntMatrix,
     IntVector,
     _as_int_vector,
+    invariant_factors,
     make_primitive,
     rref,
-    solve_rational,
     sublattice_saturation_equal,
     vector_gcd,
 )
@@ -82,22 +83,31 @@ def _kept_on_diagram(fn):
 
 @_kept_on_diagram
 def elimination(diagram: ToricDiagram):
-    """`rref` of N, the rank x d matrix whose columns are the normals: the one
-    Fraction elimination behind the rank, gamma and the kernel basis."""
-    return rref(list(zip(*diagram.normals)), diagram.d)
+    """`rref` of [N | I], N the rank x d matrix whose columns are the normals: the
+    one fraction-free elimination behind the rank, gamma and the kernel basis."""
+    identity = IntMatrix.identity(diagram.rank).entries
+    return rref([n + e for n, e in zip(zip(*diagram.normals), identity)], diagram.d)
 
 
 @_kept_on_diagram
 def height_covector(diagram: ToricDiagram) -> tuple[Fraction, ...] | None:
     """gamma with <gamma, lambda_i> = -1 for every normal, or None.
 
-    (-1, ..., -1) is in the row space of N exactly when the nonzero rref rows
-    sum to (1, ..., 1); then gamma solves the pivot normals' system.
+    (-1, ..., -1) is in the row space of N exactly when the reduced rows
+    sum to (1, ..., 1), i.e. the pivot rows to scale * (1, ..., 1).  The sum
+    of their identity block, divided by -scale, is then gamma: no second solve.
     """
-    rows, pivots = elimination(diagram)
-    if any(sum(col) != 1 for col in zip(*rows[: len(pivots)])):
+    rows, pivots, scale, _ = elimination(diagram)
+    sums = [sum(col) for col in zip(*rows[: len(pivots)])]
+    if any(s != scale for s in sums[: diagram.d]):
         return None
-    return tuple(solve_rational([diagram.normals[c] for c in pivots], [-1] * len(pivots)))
+    return tuple(Fraction(-s, scale) for s in sums[diagram.d :])
+
+
+@_kept_on_diagram
+def torsion(diagram: ToricDiagram) -> IntVector:
+    """Smith torsion of Z^rank / span(normals): pi1 and the kernel torus's component group."""
+    return invariant_factors(IntMatrix.from_columns(diagram.normals))
 
 
 def _dot(a, b):

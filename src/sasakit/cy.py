@@ -14,14 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cones import ToricDiagram, elimination, height_covector
-from .lattice import (
-    IntMatrix,
-    complete_to_unimodular,
-    invariant_factors,
-    is_primitive,
-    kernel_basis_from_rref,
-)
+from .cones import ToricDiagram, elimination, height_covector, torsion
+from .lattice import IntMatrix, complete_to_unimodular, is_primitive, kernel_basis_from_rref
 from .lattice import smith_normal_form  # noqa: F401  perfbench/tracing.py patches this name
 
 
@@ -91,15 +85,16 @@ def normalize_height(
 
 
 def kernel_lattice(diagram: ToricDiagram) -> KernelLattice:
-    """Kernel basis (free columns of the diagram's elimination) and component group.
+    """Kernel basis (free columns of the diagram's elimination) and component
+    group (its `torsion`, the Smith diagonal `fundamental_group` reads too).
 
     The normalized copy A^-T N of `normalize_height` is row-equivalent to N,
-    so it has the same rref, kernel basis and invariant factors.  Its first
-    row is l(1, ..., 1), so l times the coordinate sum is always integral on
-    the kernel and on preimages of the lattice generators.
+    so it has the same reduced rows, kernel basis and invariant factors.  Its
+    first row is l(1, ..., 1), so l times the coordinate sum is always
+    integral on the kernel and on preimages of the lattice generators.
     """
-    rows, pivots = elimination(diagram)
+    rows, pivots, scale, _ = elimination(diagram)
     return KernelLattice(
-        basis=tuple(tuple(b) for b in kernel_basis_from_rref(rows, pivots, diagram.d)),
-        component_group=invariant_factors(IntMatrix.from_columns(diagram.normals)),
+        basis=tuple(tuple(b) for b in kernel_basis_from_rref(rows, pivots, scale, diagram.d)),
+        component_group=torsion(diagram),
     )

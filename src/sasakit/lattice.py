@@ -1,9 +1,10 @@
-"""Exact integer and rational linear algebra.
+"""Exact integer linear algebra.
 
-Everything here runs on Python ints and fractions.Fraction, so results are
-exact at any magnitude.  This is the engine behind every lattice verdict in
-the package: Smith normal forms (with transforms, for unimodular completion),
-transform-free invariant factors, primitivity, and saturation of sublattices.
+Everything here runs on Python ints, so results are exact at any magnitude:
+Smith normal forms (with transforms, for unimodular completion), transform-free
+invariant factors, primitivity, saturation of sublattices, and the one
+fraction-free (Bareiss) elimination, `rref`, behind every rank, determinant,
+unimodular inverse, kernel basis and height covector in the package.
 """
 
 from __future__ import annotations
@@ -69,38 +70,21 @@ class IntMatrix:
         return IntMatrix.from_rows(list(zip(*self.entries)))
 
     def det(self) -> int:
-        """Determinant by fraction-free (Bareiss) elimination."""
+        """Determinant: the sign of `rref`'s row swaps times its last pivot."""
         if self.rows != self.cols:
             raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        m = [list(r) for r in self.entries]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                for i in range(k + 1, n):
-                    if m[i][k] != 0:
-                        m[k], m[i] = m[i], m[k]
-                        sign = -sign
-                        break
-                else:
-                    return 0
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            prev = m[k][k]
-        return sign * m[n - 1][n - 1]
+        _, pivots, scale, sign = rref(self.entries, self.cols)
+        return sign * scale if len(pivots) == self.cols else 0
 
     def inverse_unimodular(self) -> "IntMatrix":
         """Exact integer inverse; requires |det| = 1."""
         n = self.cols
         identity = IntMatrix.identity(self.rows).entries
-        rows, pivots = rref([a + e for a, e in zip(self.entries, identity)], n)
-        inv = [row[n:] for row in rows]
-        # an integer matrix with an integer inverse has determinant +-1
-        if self.rows != n or len(pivots) < n or any(x.denominator != 1 for r in inv for x in r):
+        rows, pivots, scale, _ = rref([a + e for a, e in zip(self.entries, identity)], n)
+        # the last pivot of a full-rank square matrix is +-det
+        if self.rows != n or len(pivots) < n or abs(scale) != 1:
             raise ValueError(f"matrix is not unimodular (det = {self.det()})")
-        return IntMatrix.from_rows(inv)
+        return IntMatrix.from_rows([[scale * x for x in row[n:]] for row in rows])
 
     def is_diagonal(self) -> bool:
         return all(
@@ -377,20 +361,23 @@ def sublattice_saturation_equal(vectors) -> bool:
     return len(diag) == len(cols) and all(x == 1 for x in diag)
 
 
-# --- exact rational elimination -------------------------------------------
+# --- fraction-free elimination -------------------------------------------
 
 def rref(rows, ncols):
-    """Gauss-Jordan elimination over Fraction on the first `ncols` columns.
+    """Fraction-free (Bareiss) Gauss-Jordan elimination on the first `ncols` columns.
 
-    Columns past `ncols` (an augmented right-hand side) are carried along but
-    never pivoted on.  Columns are taken left to right, each pivoting on its
-    first nonzero row at or below the current rank; the kernel basis of
-    `kernel_basis_from_rref` depends on that column order.  Returns the
-    reduced rows and the pivot columns: reduced row i has its leading 1 in
-    column pivots[i].
+    Columns past `ncols` (an augmented block) are carried along but never
+    pivoted on.  Columns are taken left to right, each pivoting on its first
+    nonzero row at or below the current rank; the kernel basis of
+    `kernel_basis_from_rref` depends on that column order.  Every division is
+    exact, so the rows stay integer.  Returns (rows, pivots, scale, sign):
+    rows[i] / scale is the reduced row (with its leading 1 in column
+    pivots[i] for i < len(pivots)), scale the last pivot (1 if none) and
+    sign (-1) ** (number of row swaps).
     """
-    rows = [list(map(Fraction, r)) for r in rows]
+    rows = [list(r) for r in rows]
     pivots = []
+    scale = sign = 1
     for c in range(ncols):
         r = len(pivots)
         if r == len(rows):
@@ -398,35 +385,21 @@ def rref(rows, ncols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
         if piv is None:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
+        if piv != r:
+            rows[r], rows[piv] = rows[piv], rows[r]
+            sign = -sign
+        p, pivot_row = rows[r][c], rows[r]
         for i, row in enumerate(rows):
-            if i != r and row[c] != 0:
+            if i != r:
                 f = row[c]
-                rows[i] = [x - f * y for x, y in zip(row, rows[r])]
+                rows[i] = [(p * x - f * y) // scale for x, y in zip(row, pivot_row)]
+        scale = p
         pivots.append(c)
-    return rows, pivots
+    return rows, pivots, scale, sign
 
 
-def solve_rational(a, b):
-    """One solution of a @ x = b over Fraction, or None if there is none.
-
-    `a` is a list of rows.  Free variables of a rank-deficient system are
-    set to 0.
-    """
-    ncols = len(a[0])
-    rows, pivots = rref([list(r) + [x] for r, x in zip(a, b)], ncols)
-    if any(row[-1] != 0 for row in rows[len(pivots):]):
-        return None
-    x = [Fraction(0)] * ncols
-    for row, c in zip(rows, pivots):
-        x[c] = row[-1]
-    return x
-
-
-def kernel_basis_from_rref(rows, pivots, ncols):
-    """The kernel basis read off `rref(a, ncols)`: one vector per free column."""
+def kernel_basis_from_rref(rows, pivots, scale, ncols):
+    """The kernel basis read off `rref(a, ncols)`, in Fractions: one vector per free column."""
     basis = []
     for f in range(ncols):
         if f in pivots:
@@ -434,6 +407,6 @@ def kernel_basis_from_rref(rows, pivots, ncols):
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)
         for row, c in zip(rows, pivots):
-            vec[c] = -row[f]
+            vec[c] = Fraction(-row[f], scale)
         basis.append(vec)
     return basis

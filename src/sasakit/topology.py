@@ -12,7 +12,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cones import ToricDiagram, height1_points
+from .cones import ToricDiagram, height1_points, torsion
 from .lattice import IntMatrix, invariant_factors
 from .lattice import smith_normal_form  # noqa: F401  perfbench/tracing.py patches this name
 
@@ -36,9 +36,9 @@ class TopologyReport:
 def fundamental_group(diagram: ToricDiagram) -> tuple[int, ...]:
     """Invariant factors of the ambient lattice modulo the normal span.
 
-    Empty tuple means the manifold is simply connected.
+    Empty tuple means the manifold is simply connected.  Kept on the diagram.
     """
-    return invariant_factors(IntMatrix.from_columns(diagram.normals))
+    return torsion(diagram)
 
 
 def second_betti(diagram: ToricDiagram) -> int:
@@ -75,14 +75,13 @@ def identify_5d(diagram: ToricDiagram) -> str:
 
     Relies on the classification of simply connected 5-manifolds with a
     3-torus action; outside that regime only the lens-type cyclic case is
-    labeled and anything else is reported as unknown.
+    labeled and anything else, any rank but 3 included, is unknown.
     """
-    return _label(fundamental_group(diagram), diagram.d)
-
-
-def _label(pi1: tuple[int, ...], d: int) -> str:
+    if diagram.rank != 3:
+        return "unknown"
+    pi1 = fundamental_group(diagram)
     if not pi1:
-        k = d - 3
+        k = diagram.d - 3
         if k == 0:
             return "S^5"
         return f"S^5 # {k}(S^2 x S^3)"
@@ -104,7 +103,7 @@ def topology_report(diagram: ToricDiagram) -> TopologyReport:
         pi1_invariant_factors=pi1,
         b2=b2,
         area_times_2=area2,
-        identification=_label(pi1, diagram.d),
+        identification=identify_5d(diagram),
     )
 
 

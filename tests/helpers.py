@@ -29,7 +29,6 @@ from sasakit.lattice import (
     IntVector,
     make_primitive,
     smith_normal_form,
-    solve_rational,
     vector_gcd,
 )
 
@@ -222,24 +221,33 @@ def validation_oracle(normals):
     return None
 
 
+def sympy_solve(a, b):
+    """One solution of a @ x = b by sympy's Gauss-Jordan, free parameters 0, or None."""
+    try:
+        sol, params = sympy.Matrix(a).gauss_jordan_solve(sympy.Matrix(b))
+    except ValueError:  # inconsistent system
+        return None
+    return [Fraction(int(x.p), int(x.q)) for x in sol.subs(dict.fromkeys(params, 0))]
+
+
 def gamma_oracle(normals):
     """The height covector by one d x rank solve of <gamma, lambda_i> = -1, or None."""
-    gamma = solve_rational([list(v) for v in normals], [-1] * len(normals))
+    gamma = sympy_solve([list(v) for v in normals], [-1] * len(normals))
     return None if gamma is None else tuple(gamma)
 
 
 def kernel_lattice_oracle(diagram: ToricDiagram, height: int):
     """Kernel basis and height integrality flag by one elimination per question.
 
-    The kernel from sympy's `nullspace`, and one `solve_rational` per
-    standard generator for its preimage (free variables 0); the flag asks
-    that `height` times every coordinate sum be an integer.
+    The kernel from sympy's `nullspace`, and one sympy solve per standard
+    generator for its preimage (free variables 0); the flag asks that
+    `height` times every coordinate sum be an integer.
     """
     matrix = [list(col) for col in zip(*diagram.normals)]
     basis = tuple(tuple(b) for b in nullspace(matrix))
     generators = IntMatrix.identity(diagram.rank).entries
     flag = all(sum(b) == 0 for b in basis) and all(
-        (height * sum(solve_rational(matrix, e))).denominator == 1 for e in generators
+        (height * sum(sympy_solve(matrix, e))).denominator == 1 for e in generators
     )
     return basis, flag
 

@@ -521,16 +521,40 @@ def test_analyze_runs_one_normalizer_inverse(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_runs_one_smith_diagonal_of_the_normals(tmp_path, capsys, monkeypatch):
+    # pi1 and the kernel torus's component group read one diagonal kept on the diagram
+    shapes = []
+    invariant_factors = lattice.invariant_factors
+
+    def counted(m):
+        shapes.append((m.rows, m.cols))
+        return invariant_factors(m)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("sasakit") and (
+            getattr(module, "invariant_factors", None) is invariant_factors
+        ):
+            monkeypatch.setattr(module, "invariant_factors", counted)
+    path = write_diagram(tmp_path, "m4.json", main4_even(8, 3).normals)
+    code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
+    assert code == 0
+    assert shapes == [(3, 19)]
+
+
 def test_analyze_runs_one_elimination_of_the_normals(tmp_path, capsys, monkeypatch):
     # rank, gamma, the interior witness and the kernel basis all read one
-    # rref of N; a diagram with a height covector never runs Fourier-Motzkin
+    # rref of [N | I]: gamma costs no solve of its own, the only other
+    # augmented elimination is the normalizer's [A | I], and the rest are
+    # determinants of 3 x 3 or smaller; a diagram with a height covector
+    # never runs Fourier-Motzkin
     shear = lattice.IntMatrix.from_rows([[1, 0, 0], [1, 1, 0], [2, -1, 1]])
     normals = [shear.mul_vector(v) for v in main4_odd(19, 0).normals]
-    widths, systems = [], []
+    shapes, systems = [], []
     rref, fm_feasible = lattice.rref, cones._fm_feasible
 
     def counted_rref(rows, ncols):
-        widths.append(ncols)
+        rows = [list(r) for r in rows]
+        shapes.append((len(rows), len(rows[0]), ncols))
         return rref(rows, ncols)
 
     def counted_fm(constraints, nvars):
@@ -544,7 +568,9 @@ def test_analyze_runs_one_elimination_of_the_normals(tmp_path, capsys, monkeypat
     path = write_diagram(tmp_path, "m4.json", normals)
     code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
     assert code == 0
-    assert widths.count(len(normals)) == 1
+    d = len(normals)
+    assert sorted(s for s in shapes if s[1] > s[2]) == [(3, 6, 3), (3, d + 3, d)]
+    assert all(s[2] <= 3 for s in shapes if s[1] == s[2])
     assert systems == []
 
 

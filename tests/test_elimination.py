@@ -1,5 +1,6 @@
-"""The shared Fraction elimination, the SNF, the transform-free invariant
-factors and sublattice saturation against sympy and independent oracles."""
+"""The one fraction-free (Bareiss) elimination and the determinant it gives,
+the SNF, the transform-free invariant factors and sublattice saturation
+against sympy and independent oracles."""
 
 import random
 from fractions import Fraction
@@ -15,7 +16,6 @@ from sasakit.lattice import (
     kernel_basis_from_rref,
     rref,
     smith_normal_form,
-    solve_rational,
     sublattice_saturation_equal,
 )
 
@@ -31,20 +31,9 @@ def int_matrices(draw, rows=st.integers(1, 5), cols=st.integers(1, 5), lo=-3, hi
     return [[draw(entry) for _ in range(n)] for _ in range(m)]
 
 
-@st.composite
-def linear_systems(draw):
-    """(A, b) with b in the column space of A about half the time."""
-    a = draw(int_matrices())
-    if draw(st.booleans()):
-        x = [draw(st.integers(-3, 3)) for _ in a[0]]
-        b = [sum(r * v for r, v in zip(row, x)) for row in a]
-    else:
-        b = [draw(st.integers(-3, 3)) for _ in a]
-    return a, b
-
-
 def kernel_basis(a):
-    return kernel_basis_from_rref(*rref(a, len(a[0])), len(a[0]))
+    rows, pivots, scale, _ = rref(a, len(a[0]))
+    return kernel_basis_from_rref(rows, pivots, scale, len(a[0]))
 
 
 @ORACLE
@@ -66,18 +55,49 @@ def test_kernel_basis_is_annihilated_and_has_full_size(a):
 
 
 @ORACLE
-@given(linear_systems())
-def test_solve_rational_matches_sympy_consistency(system):
-    a, b = system
-    x = solve_rational(a, b)
-    try:
-        sympy.Matrix(a).gauss_jordan_solve(sympy.Matrix(b))
-        consistent = True
-    except ValueError:
-        consistent = False
-    assert (x is not None) == consistent
-    if x is not None:
-        assert [sum(r * v for r, v in zip(row, x)) for row in a] == b
+@given(int_matrices(), st.integers(0, 2), st.randoms(use_true_random=False))
+def test_rref_is_scale_times_sympy_rref_and_carries_the_augmented_block(a, extra, rng):
+    m, n = len(a), len(a[0])
+    b = [[rng.randint(-3, 3) for _ in range(extra)] for _ in a]
+    identity = [[int(i == j) for j in range(m)] for i in range(m)]
+    rows, pivots, scale, sign = rref([r + s + e for r, s, e in zip(a, b, identity)], n)
+    assert all(type(x) is int for row in rows for x in row)
+    assert type(scale) is int and scale != 0 and sign in (1, -1)
+    reduced, sympy_pivots = sympy.Matrix(a).rref()
+    assert pivots == list(sympy_pivots)
+    out = sympy.Matrix(rows)
+    assert out[:, :n] == scale * reduced
+    # the carried identity block is the row operation T: T @ [A | B] = rows
+    t = out[:, n + extra:]
+    assert t.det() != 0
+    assert t * sympy.Matrix(a) == out[:, :n]
+    if extra:
+        assert t * sympy.Matrix(b) == out[:, n:n + extra]
+
+
+@ORACLE
+@given(st.integers(1, 5).flatmap(
+    lambda n: int_matrices(rows=st.just(n), cols=st.just(n), lo=-2, hi=2)
+).flatmap(st.permutations))
+def test_det_matches_sympy(rows):
+    # small entries make singular matrices common; permuted rows make odd swap counts
+    assert IntMatrix.from_rows(rows).det() == sympy.Matrix(rows).det()
+
+
+@pytest.mark.parametrize(
+    "rows, swaps, det",
+    [
+        ([[0, 1], [1, 0]], 1, -1),
+        ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], 1, -1),
+        ([[0, 1, 0], [0, 0, 1], [1, 0, 0]], 2, 1),
+        ([[0, 2, 1], [0, 4, 2], [3, 1, 1]], 1, 0),
+    ],
+)
+def test_det_is_swap_sign_times_last_pivot(rows, swaps, det):
+    _, pivots, scale, sign = rref(rows, len(rows))
+    assert sign == (-1) ** swaps
+    assert IntMatrix.from_rows(rows).det() == det == sympy.Matrix(rows).det()
+    assert det == (sign * scale if len(pivots) == len(rows) else 0)
 
 
 @st.composite
@@ -139,14 +159,10 @@ def test_kernel_basis_is_pinned():
 
 
 def test_rref_reports_pivot_columns_and_keeps_augmented_columns():
-    rows, pivots = rref([[0, 2, 4], [3, 0, 6]], 2)
+    # integer rows over the common pivot 6: the reduced rows are [1, 0, 2], [0, 1, 2]
+    rows, pivots, scale, sign = rref([[0, 2, 4], [3, 0, 6]], 2)
     assert pivots == [0, 1]
-    assert rows == [[1, 0, 2], [0, 1, 2]]
-
-
-def test_solve_rational_free_variables_are_zero():
-    assert solve_rational([[1, 1]], [3]) == [3, 0]
-    assert solve_rational([[1, 1], [2, 2]], [1, 3]) is None
+    assert (rows, scale, sign) == ([[6, 0, 12], [0, 6, 12]], 6, -1)
 
 
 def test_inverse_unimodular_on_random_sl3():

@@ -103,6 +103,21 @@ def test_identify_5d_labels():
     assert identify_5d(lens(5)) == "lens-type: pi1 = Z_5"
 
 
+@pytest.mark.parametrize(
+    "normals",
+    [
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)],  # the octant of an S^7
+        [(1, 0), (0, 1)],  # the quadrant of an S^3
+    ],
+)
+def test_labels_are_unknown_off_rank_3(normals):
+    # d - 3 names no 5-manifold unless the rank is 3
+    d = validate_diagram(normals)
+    assert identify_5d(d) == "unknown"
+    rep = topology_report(d).to_json_dict()
+    assert rep["label"] == "unknown" and rep["b2"] is None
+
+
 def test_topology_report_json_shape():
     rep = topology_report(lens(5)).to_json_dict()
     assert rep["pi1"] == [5]
