@@ -16,6 +16,7 @@ import os
 import random
 import sys
 import time
+from functools import cache
 
 from . import __version__
 from .cones import (
@@ -442,8 +443,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = cache(build_parser)  # main's one parser per process; parse_args leaves it as is
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

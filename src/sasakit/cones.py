@@ -31,10 +31,10 @@ from .lattice import (
     IntMatrix,
     IntVector,
     _as_int_vector,
+    _primitive,
+    _saturated,
     invariant_factors,
-    make_primitive,
     rref,
-    sublattice_saturation_equal,
     vector_gcd,
 )
 
@@ -285,7 +285,7 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     facet_cycle = hull[first:] + hull[:first]
     # rays[i] is shared by facet_cycle[i] and facet_cycle[i+1]
     pairs = list(zip(facet_cycle, facet_cycle[1:] + facet_cycle[:1]))
-    rays = [make_primitive(_cross(normals[i], normals[j])) for i, j in pairs]
+    rays = [_primitive(_cross(normals[i], normals[j])) for i, j in pairs]
     active = [set(pair) for pair in pairs]
     # Both chains are monotone in the chart's x, so a normal off the hull can
     # lie only on the edges of each chain whose x-range holds its own x: at
@@ -372,8 +372,7 @@ def is_good(diagram: ToricDiagram, faces=None) -> GoodnessReport:
     else:
         face_sets = [tuple(sorted(f)) for f in faces]
     for idxs in face_sets:
-        vecs = [diagram.normals[i] for i in idxs]
-        if not sublattice_saturation_equal(vecs):
+        if not _saturated([diagram.normals[i] for i in idxs]):
             return GoodnessReport(
                 good=False,
                 failing_face=idxs,

@@ -14,7 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cones import ToricDiagram, elimination, height_covector, torsion
+from .cones import ToricDiagram, _kept_on_diagram, elimination, height_covector, torsion
+from .errors import InfeasibleSlice
 from .lattice import IntMatrix, complete_to_unimodular, is_primitive, kernel_basis_from_rref
 from .lattice import smith_normal_form  # noqa: F401  perfbench/tracing.py patches this name
 
@@ -34,30 +35,44 @@ class CalabiYauData:
         """A in SL(m+1, Z) with A(l*gamma) = (-1, 0, ..., 0); one Smith transform per object."""
         return complete_to_unimodular(tuple(int(g * self.height) for g in self.gamma))
 
-    @cached_property
-    def normalizer_inverse_transpose(self) -> IntMatrix:
-        """A^-T, which carries the normals to normalized ones; one inverse per object."""
-        return self.normalizer.inverse_unimodular().transpose()
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelLattice:
-    """Kernel data of the torus map sending basis vectors to the normals."""
+    """Kernel data of the torus map sending basis vectors to the normals.
 
-    basis: tuple[tuple[Fraction, ...], ...]
+    The basis is built on first read; equality compares basis and component
+    group.
+    """
+
+    diagram: ToricDiagram
     component_group: tuple[int, ...]
+
+    @cached_property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        rows, pivots, scale, _ = elimination(self.diagram)
+        return tuple(map(tuple, kernel_basis_from_rref(rows, pivots, scale, self.diagram.d)))
 
     @property
     def rank(self) -> int:
-        return len(self.basis)
+        return self.diagram.d - len(elimination(self.diagram)[1])
+
+    def __eq__(self, other):
+        if not isinstance(other, KernelLattice):
+            return NotImplemented
+        return (self.basis, self.component_group) == (other.basis, other.component_group)
+
+    def __hash__(self):
+        return hash((self.basis, self.component_group))
 
 
+@_kept_on_diagram
 def compute_gamma(diagram: ToricDiagram) -> CalabiYauData | None:
     """Solve <gamma, lambda_i> = -1 for all i, exactly.
 
     Returns None when the system is inconsistent (no height structure);
     gamma comes from the diagram's one elimination.  The height is the lcm
-    of the denominators of gamma, which makes height*gamma primitive.
+    of the denominators of gamma, which makes height*gamma primitive.  Kept
+    on the diagram.
     """
     gamma = height_covector(diagram)
     if gamma is None:
@@ -76,25 +91,32 @@ def normalize_height(
     Returns (A, transformed diagram) where A is in SL(m+1, Z), A*gamma has
     the normal form above, and every transformed normal (the inverse
     transpose acting on the original ones) has first component exactly l.
+    cy must be the diagram's own height data (InfeasibleSlice otherwise):
+    both are computed once per diagram and kept on it.
     """
-    at_inv = cy.normalizer_inverse_transpose
-    new_normals = [at_inv.mul_vector(v) for v in diagram.normals]
+    if cy != compute_gamma(diagram):
+        raise InfeasibleSlice("not the diagram's own height data: no normalization slice")
+    return _normalized(diagram)
+
+
+@_kept_on_diagram
+def _normalized(diagram: ToricDiagram) -> tuple[IntMatrix, ToricDiagram]:
+    cy = compute_gamma(diagram)
+    at_inv = cy.normalizer.inverse_unimodular().transpose()
+    new_normals = tuple(at_inv.mul_vector(v) for v in diagram.normals)
     assert all(v[0] == cy.height for v in new_normals)
     # a unimodular image of a validated diagram is valid: no second Fourier-Motzkin
-    return cy.normalizer, ToricDiagram(rank=diagram.rank, normals=tuple(new_normals))
+    return cy.normalizer, ToricDiagram(rank=diagram.rank, normals=new_normals)
 
 
 def kernel_lattice(diagram: ToricDiagram) -> KernelLattice:
-    """Kernel basis (free columns of the diagram's elimination) and component
-    group (its `torsion`, the Smith diagonal `fundamental_group` reads too).
+    """Kernel basis (free columns of the diagram's elimination, built on first
+    read; the rank is d minus its pivot count) and component group (its
+    `torsion`, the Smith diagonal `fundamental_group` reads too).
 
     The normalized copy A^-T N of `normalize_height` is row-equivalent to N,
     so it has the same reduced rows, kernel basis and invariant factors.  Its
     first row is l(1, ..., 1), so l times the coordinate sum is always
     integral on the kernel and on preimages of the lattice generators.
     """
-    rows, pivots, scale, _ = elimination(diagram)
-    return KernelLattice(
-        basis=tuple(tuple(b) for b in kernel_basis_from_rref(rows, pivots, scale, diagram.d)),
-        component_group=torsion(diagram),
-    )
+    return KernelLattice(diagram=diagram, component_group=torsion(diagram))

@@ -44,30 +44,29 @@ class IntMatrix:
 
     @staticmethod
     def from_columns(cols) -> "IntMatrix":
-        return IntMatrix.from_rows(list(zip(*[_as_int_vector(c) for c in cols])))
+        return IntMatrix.from_rows(list(zip(*cols)))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
-        return IntMatrix.from_rows(
-            [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
+        return IntMatrix(n, n, tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
     def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch")
         ot = list(zip(*other.entries))
-        return IntMatrix.from_rows(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.entries]
-        )
+        return IntMatrix(self.rows, other.cols, tuple(
+            tuple(sum(a * b for a, b in zip(row, col)) for col in ot) for row in self.entries
+        ))
 
     def mul_vector(self, v) -> IntVector:
-        v = _as_int_vector(v)
+        """A v for an integer vector v, not checked again: `_as_int_vector`
+        runs only where outside data enters, such as `from_rows`."""
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.entries)
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix.from_rows(list(zip(*self.entries)))
+        return IntMatrix(self.cols, self.rows, tuple(zip(*self.entries)))
 
     def det(self) -> int:
         """Determinant: the sign of `rref`'s row swaps times its last pivot."""
@@ -84,15 +83,7 @@ class IntMatrix:
         # the last pivot of a full-rank square matrix is +-det
         if self.rows != n or len(pivots) < n or abs(scale) != 1:
             raise ValueError(f"matrix is not unimodular (det = {self.det()})")
-        return IntMatrix.from_rows([[scale * x for x in row[n:]] for row in rows])
-
-    def is_diagonal(self) -> bool:
-        return all(
-            self.entries[i][j] == 0
-            for i in range(self.rows)
-            for j in range(self.cols)
-            if i != j
-        )
+        return IntMatrix(n, n, tuple(tuple(scale * x for x in row[n:]) for row in rows))
 
 
 @dataclass(frozen=True)
@@ -118,33 +109,20 @@ class SnfDecomposition:
         return sum(1 for d in self.diagonal if d != 0)
 
     def verify(self, M: IntMatrix) -> bool:
-        if (self.U @ M @ self.V).entries != self.D.entries:
-            return False
-        if abs(self.U.det()) != 1 or abs(self.V.det()) != 1:
-            return False
-        if not self.D.is_diagonal():
-            return False
         diag = self.diagonal
-        if any(d < 0 for d in diag):
-            return False
-        for a, b in zip(diag, diag[1:]):
-            if a == 0 and b != 0:
-                return False
-            if a != 0 and b % a != 0:
-                return False
-        return True
+        return (
+            (self.U @ M @ self.V).entries == self.D.entries
+            and abs(self.U.det()) == abs(self.V.det()) == 1
+            and not any(x for i, r in enumerate(self.D.entries) for j, x in enumerate(r) if i != j)
+            and all(d >= 0 for d in diag)
+            and all(b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:]))
+        )
 
 
 def _pivot(m, t, rows, cols):
     # smallest absolute value wins; ties broken by lowest row, then column
-    best = None
-    for i in range(t, rows):
-        for j in range(t, cols):
-            if m[i][j] != 0:
-                key = (abs(m[i][j]), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-    return None if best is None else (best[1], best[2])
+    keys = [(abs(m[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if m[i][j]]
+    return min(keys)[1:] if keys else None
 
 
 def _diagonalize(d, u=None, v=None) -> None:
@@ -277,10 +255,7 @@ def invariant_factors(M: IntMatrix) -> IntVector:
 
 
 def vector_gcd(v) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, abs(int(x)))
-    return g
+    return gcd(*v)
 
 
 def is_primitive(v) -> bool:
@@ -293,7 +268,11 @@ def is_primitive(v) -> bool:
 
 
 def make_primitive(v) -> IntVector:
-    v = _as_int_vector(v)
+    return _primitive(_as_int_vector(v))
+
+
+def _primitive(v: IntVector) -> IntVector:
+    """make_primitive of an already checked integer vector."""
     g = vector_gcd(v)
     if g == 0:
         raise ValueError("zero vector")
@@ -348,6 +327,11 @@ def sublattice_saturation_equal(vectors) -> bool:
         raise ValueError("need at least one nonempty vector")
     if any(len(c) != len(cols[0]) for c in cols):
         raise ValueError("vectors of different lengths")
+    return _saturated(cols)
+
+
+def _saturated(cols) -> bool:
+    """sublattice_saturation_equal of checked integer vectors of one nonzero length."""
     if len(cols) == 1:
         return vector_gcd(cols[0]) == 1
     if len(cols) == 2:
@@ -400,9 +384,9 @@ def rref(rows, ncols):
 
 def kernel_basis_from_rref(rows, pivots, scale, ncols):
     """The kernel basis read off `rref(a, ncols)`, in Fractions: one vector per free column."""
-    basis = []
+    basis, pivot_set = [], set(pivots)
     for f in range(ncols):
-        if f in pivots:
+        if f in pivot_set:
             continue
         vec = [Fraction(0)] * ncols
         vec[f] = Fraction(1)

@@ -5,9 +5,10 @@ are the extreme rays scaled by 1/<ray, xi>.  Its Euclidean volume V is
 rational in xi, homogeneous of degree -rank and log-convex on the open Reeb
 cone.  `minimize_volume` runs damped Newton on log V in an exact reduced
 lattice basis, so every input basis gets the same answer; `converged` means
-a Newton decrement at most `tol`, and a start costs O(d) exact integer work
-plus O(h) floats per fan pass.  V is the raw polytope volume; any constant
-tying it to a metric volume is a convention left to the caller.
+a Newton decrement at most `tol`.  The frame is O(d) exact integer work done
+once per diagram and kept on it; a start then costs O(h) floats per fan
+pass.  V is the raw polytope volume; any constant tying it to a metric
+volume is a convention left to the caller.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import log, sqrt
 
-from .cones import ToricDiagram, _cross, _dot, cone_skeleton, extreme_rays
-from .cy import CalabiYauData, normalize_height
+from .cones import ToricDiagram, _cross, _dot, _kept_on_diagram, cone_skeleton, extreme_rays
+from .cy import CalabiYauData, compute_gamma, normalize_height
 from .errors import InfeasibleSlice, UnboundedRegion
 from .lattice import IntMatrix
 
@@ -68,11 +69,8 @@ def truncated_polytope(diagram: ToricDiagram, xi) -> TruncatedPolytope:
     extreme ray, in which case the slice does not bound the cone.
     """
     rays, scales = _ray_scales(diagram, xi)
-    origin = tuple(0 * x for x in xi)
-    verts = [origin]
-    for ray, s in zip(rays, scales):
-        verts.append(tuple(_quotient(r, s) for r in ray))
-    return TruncatedPolytope(vertices=tuple(verts))
+    verts = [tuple(_quotient(r, s) for r in ray) for ray, s in zip(rays, scales)]
+    return TruncatedPolytope(vertices=(tuple(0 * x for x in xi), *verts))
 
 
 def volume(diagram: ToricDiagram, xi):
@@ -114,7 +112,8 @@ def _reduced_basis(a, b, c):
     return (u, v) if u[0] * v[1] > u[1] * v[0] else (u, (-v[0], -v[1]))
 
 
-def _reduced_frame(diagram: ToricDiagram, cy: CalabiYauData):
+@_kept_on_diagram
+def _reduced_frame(diagram: ToricDiagram):
     """The slice problem in an exact lattice basis where the height polygon is small.
 
     normalize_height's A makes every normal (l, p, q), so the slice is
@@ -125,12 +124,10 @@ def _reduced_frame(diagram: ToricDiagram, cy: CalabiYauData):
     mapped cycle normals.  Returns the rays as floats (3l r_1, r_2, r_3),
     the fan determinants, the canonical start (3/d) sum of the normals as
     (3l, x, y), N^-1 (maps xi back, keeping every pairing) and N^T (maps
-    covectors back).
+    covectors back).  Built once per diagram, from its own height data.
     """
+    cy = compute_gamma(diagram)
     ell = cy.height
-    scaled = [int(g * ell) for g in cy.gamma]
-    if any(_dot(scaled, v) != -ell for v in diagram.normals):
-        raise InfeasibleSlice("gamma does not pair to -1 with every normal: no normalization slice")
     A, normalized = normalize_height(diagram, cy)
     cycle = cone_skeleton(diagram).facet_cycle
     pts = [normalized.normals[i][1:] for i in cycle]
@@ -195,11 +192,14 @@ def minimize_volume(
     decrement sqrt(g^T H^-1 g) <= 1e-3 the full step is taken, as the
     decrease is then below the rounding of log V.  `converged` means the
     scale-free decrement reached `tol`; `grad_norm` is grad V tangent to the
-    slice, in the input basis.  Cost: O(d) exact integer work for the frame
-    (all calls on one CalabiYauData share its Smith transform), then O(h)
-    floats per fan pass for h rays, one pass per step or backtrack.
+    slice, in the input basis.  Cost: O(d) exact integer work for the frame,
+    once per diagram (every call and start reads the one kept on it), then
+    O(h) floats per fan pass for h rays, one pass per step or backtrack.
+    Raises InfeasibleSlice unless cy is the diagram's own height data.
     """
-    rays, dets, (b1, x, y), back, cov = _reduced_frame(diagram, cy)
+    if cy != compute_gamma(diagram):  # gamma is unique: the same as pairing to -1
+        raise InfeasibleSlice("not the diagram's own height data: no normalization slice")
+    rays, dets, (b1, x, y), back, cov = _reduced_frame(diagram)
     if start_offset is not None:
         dx, dy = (float(t) for t in start_offset)
         while _fan(rays, dets, x + dx, y + dy) is None:

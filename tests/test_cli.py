@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sasakit import cli, cones
+from sasakit import cli, cones, cy as cy_module, reeb
 from sasakit.cli import main
 from sasakit.cones import ToricDiagram
 from sasakit.cy import compute_gamma
@@ -519,6 +519,110 @@ def test_analyze_runs_one_normalizer_inverse(tmp_path, capsys, monkeypatch):
     code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
     assert code == 0
     assert len(calls) == 1
+
+
+def _record(monkeypatch, owner, name):
+    """Wrap owner.name so that each call's arguments are appended to the returned list."""
+    calls, fn = [], getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
+
+
+def _analyze_reeb(tmp_path, capsys, normals):
+    path = write_diagram(tmp_path, "d.json", normals)
+    code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
+    assert code == 0
+
+
+def test_analyze_builds_one_reeb_frame(tmp_path, capsys, monkeypatch):
+    # the three Newton starts read one frame kept on the diagram, so its
+    # Lagrange-Gauss reduction runs once
+    calls = _record(monkeypatch, reeb, "_reduced_basis")
+    _analyze_reeb(tmp_path, capsys, main4_even(8, 3).normals)
+    assert len(calls) == 1
+
+
+def test_analyze_maps_the_normals_by_the_normalizer_once(tmp_path, capsys, monkeypatch):
+    # the cy stage and the Reeb frame share one A^-T N (sheared, so that A^-T
+    # is not the identity, which other products use too)
+    shear = lattice.IntMatrix.from_rows([[1, 0, 0], [1, 1, 0], [2, -1, 1]])
+    normals = [shear.mul_vector(v) for v in main4_even(8, 3).normals]
+    at_inv = compute_gamma(cones.validate_diagram(normals)).normalizer.inverse_unimodular().transpose()
+    calls = _record(monkeypatch, lattice.IntMatrix, "mul_vector")
+    _analyze_reeb(tmp_path, capsys, normals)
+    mapped = [v for m, v in calls if m == at_inv]
+    assert [mapped.count(v) for v in normals] == [1] * len(normals)
+
+
+def test_analyze_builds_no_kernel_basis(tmp_path, capsys, monkeypatch):
+    # analyze --cy prints the kernel rank, d minus the pivots, not the basis
+    calls = _record(monkeypatch, cy_module, "kernel_basis_from_rref")
+    _analyze_reeb(tmp_path, capsys, main4_even(8, 3).normals)
+    assert calls == []
+
+
+def test_analyze_checks_integers_only_at_the_input(tmp_path, capsys, monkeypatch):
+    # validation checks each of the d normals once; past that boundary the
+    # rays, edges and normalized normals are not checked again, so the
+    # remaining count is the same at d = 19 and d = 159
+    calls = []
+    as_int_vector = lattice._as_int_vector
+
+    def counted(v):
+        calls.append(v)
+        return as_int_vector(v)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("sasakit") and (
+            getattr(module, "_as_int_vector", None) is as_int_vector
+        ):
+            monkeypatch.setattr(module, "_as_int_vector", counted)
+    past_input = []
+    for d in (main4_even(8, 3), main4_even(78, 3)):
+        calls.clear()
+        _analyze_reeb(tmp_path, capsys, d.normals)
+        past_input.append(len(calls) - d.d)
+    assert past_input[0] == past_input[1]
+
+
+def _outputs(capsys, calls):
+    """(exit code, stdout, stderr) of each main call in turn; argparse exits included."""
+    out = []
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        captured = capsys.readouterr()
+        out.append((code, captured.out, captured.err))
+    return out
+
+
+def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
+    # one parser serves every call with the bytes a fresh one gives: an
+    # append action, a switch of subcommand and an argparse exit leave no
+    # state behind for the next call
+    path = write_diagram(tmp_path, "m4.json", main4_even(2, 1).normals)
+    scan = ["--scan", "1,0,0", "--scan", "0,1,0", "--scan-out", str(tmp_path / "scan.csv")]
+    calls = [
+        ["analyze", path, "--reeb", *scan],
+        ["analyze", path, "--reeb"],
+        ["family", "main4-even", "--r", "2", "--s", "1"],
+        ["geodesic-test", path],
+        ["family", "help"],
+        ["analyze", path, "--cy", "--topo"],
+    ]
+    assert cli._parser() is cli._parser() is not cli.build_parser()
+    reused = _outputs(capsys, calls)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert reused == _outputs(capsys, calls)
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, ("SystemExit", 2), 0]
+    assert "scan_points" in reused[0][1] and "scan_points" not in reused[1][1]
 
 
 def test_analyze_runs_one_smith_diagonal_of_the_normals(tmp_path, capsys, monkeypatch):

@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from sasakit import (
+    CalabiYauData,
+    InfeasibleSlice,
     compute_gamma,
     is_good,
     kernel_lattice,
@@ -164,6 +166,28 @@ def test_kernel_lattice_same_on_loaded_and_normalized():
         cy = compute_gamma(d)
         if cy is not None:
             assert kernel_lattice(normalize_height(d, cy)[1]) == kernel_lattice(d)
+
+
+def test_kernel_basis_is_built_on_first_read():
+    for d in _kernel_corpus():
+        kl = kernel_lattice(d)
+        assert kl.rank == d.d - 3 and "basis" not in kl.__dict__
+        assert len(kl.basis) == kl.rank and kl.basis is kl.basis
+        assert kl == kernel_lattice(d) and hash(kl) == hash(kernel_lattice(d))
+
+
+def test_normalize_height_takes_only_the_diagrams_own_height_data():
+    # computed once per diagram; an equal cy built elsewhere reads the same result
+    d = lens(3)
+    cy = compute_gamma(d)
+    equal = CalabiYauData(gamma=cy.gamma, height=cy.height)
+    assert normalize_height(d, equal) is normalize_height(d, cy)
+    for bogus in (
+        CalabiYauData(gamma=cy.gamma, height=1),
+        CalabiYauData(gamma=(Fraction(-1),) * 3, height=1),
+    ):
+        with pytest.raises(InfeasibleSlice):
+            normalize_height(d, bogus)
 
 
 def test_kernel_basis_annihilated():

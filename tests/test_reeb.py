@@ -200,8 +200,7 @@ def test_volume_gradient_matches_finite_differences():
     # grad and Hessian of log V in the reduced slice coordinates, against
     # central differences of the exact volume at the mapped-back point
     for d in (z5_lens(), transform_normals(main4_odd(2, 1), random_sl3(random.Random(3)))):
-        cy = compute_gamma(d)
-        rays, dets, (b1, x0, y0), back, _ = _reduced_frame(d, cy)
+        rays, dets, (b1, x0, y0), back, _ = _reduced_frame(d)
 
         def log_v(x, y):
             xi = [sum(c * t for c, t in zip(row, (b1, x, y))) for row in back.entries]
@@ -229,6 +228,32 @@ def test_minimize_infeasible_slice():
     bogus = CalabiYauData(gamma=(Fraction(1), Fraction(0), Fraction(0)), height=1)
     with pytest.raises(InfeasibleSlice):
         minimize_volume(octant(), bogus)
+
+
+def test_frame_is_kept_on_the_diagram_and_checks_every_cy():
+    # the frame is built from the diagram's own gamma and kept on it; a cy
+    # that is not the diagram's own still raises, after the frame exists
+    from sasakit import InfeasibleSlice
+    from sasakit.cy import CalabiYauData
+
+    d = transform_normals(main4_odd(3, 2), random_sl3(random.Random(4)))
+    cy = compute_gamma(d)
+    first = minimize_volume(d, cy)
+    frame = d.__dict__["_reduced_frame"]
+    for bogus in (
+        CalabiYauData(gamma=tuple(-g for g in cy.gamma), height=cy.height),
+        CalabiYauData(gamma=cy.gamma, height=2 * cy.height),
+        CalabiYauData(gamma=(Fraction(-1), Fraction(0), Fraction(0)), height=1),
+    ):
+        with pytest.raises(InfeasibleSlice):
+            minimize_volume(d, bogus)
+    # an equal cy built elsewhere (as a loaded "gamma" is) reads the same frame
+    equal = CalabiYauData(gamma=cy.gamma, height=cy.height)
+    again = minimize_volume(d, equal, start_offset=[0.1, -0.2])
+    assert d.__dict__["_reduced_frame"] is frame
+    scale = max(abs(x) for x in first.xi.xi)
+    assert again.converged
+    assert max(abs(a - b) for a, b in zip(first.xi.xi, again.xi.xi)) <= 1e-9 * scale
 
 
 @pytest.mark.parametrize("exponent", [3, 5, 6, 9, 12, 15])
