@@ -190,22 +190,20 @@ def _emit_svg(diagram: ToricDiagram, path: str) -> None:
 
 
 def _write_grid_csv(diagram: ToricDiagram, n: int, path: str) -> int:
+    """The canonical potential at n scalings 0.5 .. 1.5 of the interior sample,
+    as one stack of points; MemoryError when numpy cannot hold them."""
     _load_potentials()
-    rows = []
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         pot = canonical_potential(diagram)
-        center = _interior_sample(diagram)
-        for i in range(n):
-            factor = 0.5 + (i / (n - 1) if n > 1 else 0.5)
-            y = center * factor
-            sample = eval_potential(pot, y)
-            resid = legendre_roundtrip_error(pot, y)
-            rows.append(
-                [format_float(v) for v in sample.y]
-                + [format_float(sample.G)]
-                + [format_float(v) for v in sample.x]
-                + [format_float(sample.F), format_float(resid)]
-            )
+        try:
+            factors = np.full(n, 0.5)
+        except ValueError as exc:  # numpy's "too big" beyond the address space
+            raise MemoryError(str(exc)) from None
+        factors += np.arange(n) / (n - 1) if n > 1 else 0.5
+        ys = factors[:, None] * _interior_sample(diagram)
+        sample = eval_potential(pot, ys)
+        resid = legendre_roundtrip_error(pot, ys)
+    table = np.column_stack([sample.y, sample.G, sample.x, sample.F, resid])
     m1 = diagram.rank
     header = (
         [f"y{i + 1}" for i in range(m1)]
@@ -216,8 +214,8 @@ def _write_grid_csv(diagram: ToricDiagram, n: int, path: str) -> int:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
-    return len(rows)
+        writer.writerows([format_float(v) for v in row] for row in table.tolist())
+    return n
 
 
 def _write_scan_csv(diagram, result, directions, path) -> int:
@@ -333,6 +331,9 @@ def cmd_analyze(args) -> int:
             npts = _write_grid_csv(diagram, args.potential_grid, grid_path)
         except (SasakitError, ArithmeticError, np.linalg.LinAlgError) as exc:
             return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL, t_start)
+        except MemoryError:
+            message = f"--potential-grid {args.potential_grid}: not enough memory for the grid"
+            return _fail(message, EXIT_INPUT, t_start)
         except OSError as exc:
             return _fail(str(exc), EXIT_INPUT, t_start)
         stages["potential_grid"] = {"csv": grid_path, "points": npts}
@@ -372,8 +373,10 @@ def cmd_geodesic_test(args) -> int:
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             g0 = canonical_potential(diagram)
-            # <sum of normals, y> is positive on the whole cone, in every basis
-            bump = RationalBump(0, 1, c=[float(v) for v in canonical_reeb(diagram)])
+            # two facet pairings over <sum of normals, y>: all three are positive
+            # on the open cone in every basis, so no interior point zeroes the bump
+            a, b = ([float(v) for v in lam] for lam in diagram.normals[:2])
+            bump = RationalBump(a, b, c=[float(v) for v in canonical_reeb(diagram)])
             y = _interior_sample(diagram)
             g1 = shifted_potential(g0, bump)
             g1_linear = shifted_potential(g0, LinearTerm([0.25] * diagram.rank, 0.0))

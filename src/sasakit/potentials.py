@@ -8,12 +8,17 @@ between two potentials concatenates them.  The lattice side of the package
 is exact; this side is plain float work, with finite-difference stencils
 scaled to stay inside the domain.
 
+Every evaluation takes y of shape (n,), one point, or (m, n), a stack of m
+points, and returns one result or a stack of m: value () or (m,), gradient
+(n,) or (m, n), Hessian (n, n) or (m, n, n).  A single point is a batch of
+one, so a whole grid costs one call per quantity rather than one per point.
+
 The dual picture is recovered numerically: the gradient map y -> x is
-inverted with a damped Newton solve, which gives pointwise access to the
-dual potential and to the time-dependent family along a segment of
-potentials.  The residual functions quantify, at a point, how far a segment
-is from solving the geodesic equation and whether a difference of
-potentials preserves the pairing vector (degree-zero gradient).
+inverted with a damped Newton solve over a whole stack of targets at once,
+which gives pointwise access to the dual potential and to the time-dependent
+family along a segment of potentials.  The residual functions quantify, at a
+point, how far a segment is from solving the geodesic equation and whether a
+difference of potentials preserves the pairing vector (degree-zero gradient).
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from .errors import BoundaryOrOutside, MismatchedDiagrams, StencilOutsideDomain
 
 
 class ExtraTerm:
-    """Interface for smooth extra summands of a potential."""
+    """Interface for smooth extra summands of a potential; y is (n,) or (m, n)."""
 
-    def value(self, y: np.ndarray) -> float:
+    def value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def grad(self, y: np.ndarray) -> np.ndarray:
@@ -40,45 +45,50 @@ class ExtraTerm:
 
 
 class RationalBump(ExtraTerm):
-    """g(y) = y_i * y_j / <c, y>, homogeneous of degree 1, on <c, y> > 0.
+    """g(y) = <a, y> <b, y> / <c, y>, homogeneous of degree 1, on <c, y> > 0.
 
-    c defaults to all ones.  A c positive on the whole cone, such as the
-    sum of the normals, makes the domain independent of the lattice basis.
-    Its gradient is degree 0, so the radial (Euler) derivative of the
-    gradient vanishes identically: adding it to a potential keeps the
-    pairing vector.
+    a, b and c are covectors; an int k for a or b stands for the coordinate
+    y_k, and c defaults to all ones.  Two facet normals for a and b and the
+    sum of the normals for c keep the numerator and the denominator
+    positive on the open cone, in every lattice basis.  Its gradient is
+    degree 0, so the radial (Euler) derivative of the gradient vanishes
+    identically: adding it to a potential keeps the pairing vector.
     """
 
-    def __init__(self, i: int = 0, j: int = 1, c=None):
-        self.i, self.j = i, j
-        self.c = None if c is None else np.asarray(c, dtype=float)
+    def __init__(self, a=0, b=1, c=None):
+        self.a, self.b, self.c = a, b, c
 
-    def _pairing(self, y):
-        c = np.ones_like(y) if self.c is None else self.c
-        return c, (c * y).sum()
+    def _forms(self, y):
+        """a, b and c as float vectors of y's length, and their pairings with y."""
+        n = y.shape[-1]
+        forms = [
+            np.eye(n)[f] if np.ndim(f) == 0 else np.asarray(f, dtype=float)
+            for f in (self.a, self.b)
+        ]
+        forms.append(np.ones(n) if self.c is None else np.asarray(self.c, dtype=float))
+        return forms, [(y * f).sum(axis=-1) for f in forms]
 
     def value(self, y):
-        return y[self.i] * y[self.j] / self._pairing(y)[1]
+        _, (a, b, s) = self._forms(y)
+        return a * b / s
 
     def grad(self, y):
-        c, s = self._pairing(y)
-        g = -y[self.i] * y[self.j] / s**2 * c
-        g[self.i] += y[self.j] / s
-        g[self.j] += y[self.i] / s
-        return g
+        (p, q, c), (a, b, s) = self._forms(y)
+        u, v, w = (np.asarray(t)[..., None] for t in (b / s, a / s, a * b / s**2))
+        return u * p + v * q - w * c
 
     def hess(self, y):
-        n = len(y)
-        c, s = self._pairing(y)
-        e_i = np.eye(n)[self.i]
-        e_j = np.eye(n)[self.j]
-        h = (
-            (np.outer(e_i, e_j) + np.outer(e_j, e_i)) / s
-            - (y[self.j] * (np.outer(e_i, c) + np.outer(c, e_i))) / s**2
-            - (y[self.i] * (np.outer(e_j, c) + np.outer(c, e_j))) / s**2
-            + 2 * y[self.i] * y[self.j] * np.outer(c, c) / s**3
+        (p, q, c), (a, b, s) = self._forms(y)
+        # numpy cubes an array by its own pow, not libm's as for a scalar; cube
+        # each entry as a scalar so a stack matches its rows bit for bit
+        s2, s3 = s**2, np.array([v**3 for v in np.ravel(s)]).reshape(np.shape(s))
+        a, b, s, s2, s3 = (np.asarray(v)[..., None, None] for v in (a, b, s, s2, s3))
+        return (
+            (np.outer(p, q) + np.outer(q, p)) / s
+            - (b * (np.outer(p, c) + np.outer(c, p))) / s2
+            - (a * (np.outer(q, c) + np.outer(c, q))) / s2
+            + 2 * a * b * np.outer(c, c) / s3
         )
-        return h
 
 
 class QuadraticCoordinate(ExtraTerm):
@@ -88,16 +98,16 @@ class QuadraticCoordinate(ExtraTerm):
         self.k = k
 
     def value(self, y):
-        return float(y[self.k] ** 2)
+        return y[..., self.k] ** 2
 
     def grad(self, y):
         g = np.zeros_like(y)
-        g[self.k] = 2 * y[self.k]
+        g[..., self.k] = 2 * y[..., self.k]
         return g
 
     def hess(self, y):
-        h = np.zeros((len(y), len(y)))
-        h[self.k, self.k] = 2.0
+        h = np.zeros(y.shape + y.shape[-1:])
+        h[..., self.k, self.k] = 2.0
         return h
 
 
@@ -109,18 +119,18 @@ class LinearTerm(ExtraTerm):
         self.b = b
 
     def value(self, y):
-        return float(self.c @ y + self.b)
+        return (y * self.c).sum(axis=-1) + self.b
 
     def grad(self, y):
-        return self.c.copy()
+        return np.broadcast_to(self.c, y.shape).copy()
 
     def hess(self, y):
-        return np.zeros((len(y), len(y)))
+        return np.zeros(y.shape + y.shape[-1:])
 
 
 @dataclass(frozen=True, eq=False)
 class SymplecticPotential:
-    """sum_a weights[a] l_a log l_a over the levels l = forms @ y, plus extras.
+    """sum_a weights[a] l_a log l_a over the levels l = y @ forms.T, plus extras.
 
     `forms` is a k x n float array, one row per entropy term.  eq=False:
     the generated comparison would raise on the array fields.
@@ -131,21 +141,22 @@ class SymplecticPotential:
     forms: np.ndarray
     extras: tuple[tuple[float, ExtraTerm], ...] = ()
 
-    def domain_contains(self, y) -> bool:
-        return bool(np.all(self.forms @ np.asarray(y, dtype=float) > 0))
+    def domain_contains(self, y):
+        """Whether y lies in the open domain, or whether each row of a stack does."""
+        return np.all(np.asarray(y, dtype=float) @ self.forms.T > 0, axis=-1)
 
     def _levels(self, y: np.ndarray) -> np.ndarray:
-        """The form values l = forms @ y, which must all be positive."""
-        levels = self.forms @ y
+        """The form values l = y @ forms.T, which must all be positive."""
+        levels = y @ self.forms.T
         if not np.all(levels > 0):
             raise BoundaryOrOutside("point is outside the domain of this potential")
         return levels
 
-    def value(self, y) -> float:
+    def value(self, y):
         y = np.asarray(y, dtype=float)
         levels = self._levels(y)
-        total = self.weights @ (levels * np.log(levels))
-        return float(total + sum(c * g.value(y) for c, g in self.extras))
+        total = (levels * np.log(levels)) @ self.weights
+        return total + sum(c * g.value(y) for c, g in self.extras)
 
     def grad(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
@@ -156,24 +167,26 @@ class SymplecticPotential:
 
     def hess(self, y) -> np.ndarray:
         y = np.asarray(y, dtype=float)
-        out = (self.forms.T * (self.weights / self._levels(y))) @ self.forms
+        scaled = self.forms.T * (self.weights / self._levels(y))[..., None, :]
+        out = scaled @ self.forms
         for c, g in self.extras:
             out += c * g.hess(y)
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialSample:
-    """One evaluation: the point, the potential, its derivatives, the dual value."""
+    """The point, the potential, its derivatives and the dual value, or a
+    stack of m of each for a stack of m points.  eq=False: fields are arrays."""
 
-    y: tuple[float, ...]
-    G: float
-    gradG: tuple[float, ...]
-    hessG: tuple[tuple[float, ...], ...]
-    F: float
+    y: np.ndarray
+    G: np.ndarray
+    gradG: np.ndarray
+    hessG: np.ndarray
+    F: np.ndarray
 
     @property
-    def x(self) -> tuple[float, ...]:
+    def x(self) -> np.ndarray:
         return self.gradG
 
 
@@ -232,18 +245,12 @@ def geodesic_segment(
 
 
 def eval_potential(pot: SymplecticPotential, y) -> PotentialSample:
+    """G, its gradient x and Hessian, and F = <y, x> - G, at y or a stack of points."""
     y = np.asarray(y, dtype=float)
     G = pot.value(y)
     grad = pot.grad(y)
-    hess = pot.hess(y)
-    F = float(y @ grad - G)
-    return PotentialSample(
-        y=tuple(y),
-        G=G,
-        gradG=tuple(grad),
-        hessG=tuple(tuple(row) for row in hess),
-        F=F,
-    )
+    F = (y * grad).sum(axis=-1) - G
+    return PotentialSample(y=y, G=G, gradG=grad, hessG=pot.hess(y), F=F)
 
 
 def eval_canonical(diagram: ToricDiagram, y) -> PotentialSample:
@@ -254,7 +261,7 @@ def eval_canonical_xi(diagram: ToricDiagram, xi, y) -> PotentialSample:
     return eval_potential(canonical_xi_potential(diagram, xi), y)
 
 
-def legendre(pot, y=None) -> tuple[tuple[float, ...], float]:
+def legendre(pot, y=None) -> tuple[np.ndarray, np.ndarray]:
     """The dual pair (x, F): x is the gradient, F = <y, x> - G(y).
 
     Accepts either a potential together with the point y, or an already
@@ -275,62 +282,69 @@ def invert_gradient(
     tol: float = 1e-12,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """Solve grad G(y) = x by damped Newton, staying inside the domain."""
+    """Solve grad G(y) = x by damped Newton, staying inside the domain.
+
+    x is one target (n,) or a stack (m, n), y0 one start or one per row.  The
+    rows step together, one batched solve per step, but each row stops on
+    its own |grad G(y) - x| <= tol (1 + |x|) and takes the first step length
+    of 1, 1/2, 1/4, ... that stays in the domain and lowers its residual.
+    """
     x = np.asarray(x, dtype=float)
+    xs = np.atleast_2d(x)
     if y0 is None:
-        y = np.array([float(v) for v in interior_point(pot.diagram)])
-    else:
-        y = np.asarray(y0, dtype=float).copy()
-    scale = 1.0 + float(np.linalg.norm(x))
-    resid = pot.grad(y) - x
+        y0 = [float(v) for v in interior_point(pot.diagram)]
+    ys = np.array(np.broadcast_to(np.asarray(y0, dtype=float), xs.shape))
+    scale = 1.0 + np.linalg.norm(xs, axis=1)
+    resid = pot.grad(ys) - xs
+    norms = np.linalg.norm(resid, axis=1)
     for _ in range(max_iter):
-        norm0 = np.linalg.norm(resid)
-        if norm0 <= tol * scale:
-            return y
-        step = np.linalg.solve(pot.hess(y), -resid)
+        rows = np.flatnonzero(norms > tol * scale)
+        if not rows.size:
+            break
+        step = np.linalg.solve(pot.hess(ys[rows]), -resid[rows, :, None])[..., 0]
         alpha = 1.0
-        while alpha > 1e-16:
-            cand = y + alpha * step
-            if pot.domain_contains(cand):
-                cand_resid = pot.grad(cand) - x
-                if np.linalg.norm(cand_resid) < norm0:
-                    break
+        while rows.size:  # rows still searching, and their steps
+            if alpha <= 1e-16:
+                raise StencilOutsideDomain("gradient inversion stalled at the boundary")
+            cand = ys[rows] + alpha * step
+            accept = pot.domain_contains(cand)
+            if accept.any():
+                inside, cand = rows[accept], cand[accept]
+                cand_resid = pot.grad(cand) - xs[inside]
+                cand_norms = np.linalg.norm(cand_resid, axis=1)
+                better = cand_norms < norms[inside]
+                done = inside[better]
+                ys[done], resid[done] = cand[better], cand_resid[better]
+                norms[done] = cand_norms[better]
+                accept[accept] = better
+                rows, step = rows[~accept], step[~accept]
             alpha *= 0.5
-        else:
-            raise StencilOutsideDomain("gradient inversion stalled at the boundary")
-        y, resid = cand, cand_resid
-    norm = np.linalg.norm(resid)
-    if norm > 1e-8 * scale:
+    bad = norms > max(tol, 1e-8) * scale
+    if bad.any():
         raise StencilOutsideDomain(
-            f"gradient inversion did not converge (residual {norm:.3e})"
+            f"gradient inversion did not converge (residual {norms[bad].max():.3e})"
         )
-    return y
+    return ys if x.ndim > 1 else ys[0]
 
 
-def legendre_roundtrip_error(pot: SymplecticPotential, y) -> float:
-    """Relative error of y -> x -> y through the dual gradient map."""
+def legendre_roundtrip_error(pot: SymplecticPotential, y):
+    """Relative error of y -> x -> y through the dual gradient map, per point."""
     y = np.asarray(y, dtype=float)
     back = invert_gradient(pot, pot.grad(y), y0=y * 1.1)
-    return float(np.linalg.norm(back - y) / (1.0 + np.linalg.norm(y)))
+    return np.linalg.norm(back - y, axis=-1) / (1.0 + np.linalg.norm(y, axis=-1))
 
 
 def dual_hessian_fd(pot: SymplecticPotential, y, h: float = 1e-4) -> np.ndarray:
     """Hessian of the dual potential at the dual point of y, by differencing.
 
-    Central differences of the dual gradient map x -> y(x), one Newton
-    inversion per stencil point.
+    Central differences of the dual gradient map x -> y(x): one batched
+    Newton inversion over the 2n stencil targets x +- h e_k.
     """
     y = np.asarray(y, dtype=float)
-    x_bar = pot.grad(y)
     n = len(y)
-    out = np.zeros((n, n))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = h
-        y_p = invert_gradient(pot, x_bar + e, y0=y, tol=1e-13)
-        y_m = invert_gradient(pot, x_bar - e, y0=y, tol=1e-13)
-        out[:, k] = (y_p - y_m) / (2 * h)
-    return out
+    targets = pot.grad(y) + h * np.concatenate([np.eye(n), -np.eye(n)])
+    ys = invert_gradient(pot, targets, y0=y, tol=1e-13)
+    return (ys[:n] - ys[n:]).T / (2 * h)
 
 
 def hessian_identity_error(pot: SymplecticPotential, y, h: float = 1e-4) -> float:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -484,3 +485,34 @@ class OnesBump:
             - (y[self.i] * (np.outer(e_j, ones) + np.outer(ones, e_j))) / s**2
             + 2 * y[self.i] * y[self.j] * np.outer(ones, ones) / s**3
         )
+
+
+def check_canonical_grid(normals, rows, digits=12):
+    """Check a `--potential-grid` CSV body against the canonical closed forms.
+
+    Each row is y1..y3, G, x1..x3, F and the round-trip residual, as printed.
+    From the printed y alone, in plain Python floats with l = <lambda, y>:
+    G = 1/2 sum l log l, x = 1/2 sum (log l + 1) lambda and F = 1/2 sum l.
+    Each column's tolerance is the `digits`-digit rounding of the printed
+    value, that of y carried through its closed form, and 1e-12 of the
+    summed term sizes for the program's own rounding.
+    """
+    printed = 0.5 * 10.0 ** (1 - digits)
+    for row in rows:
+        vals = [float(v) for v in row]
+        y, (G, *x, F) = vals[:3], vals[3:8]
+        forms = [sum(a * b for a, b in zip(lam, y)) for lam in normals]
+        assert min(forms) > 0, f"grid point {y} outside the cone"
+        dls = [printed * sum(abs(a * b) for a, b in zip(lam, y)) for lam in normals]
+        logs = [math.log(l) for l in forms]
+        want_G = 0.5 * sum(l * g for l, g in zip(forms, logs))
+        tol_G = printed * abs(want_G) + 1e-12 * 0.5 * sum(abs(l * g) for l, g in zip(forms, logs))
+        tol_G += 0.5 * sum(abs(g + 1) * dl for g, dl in zip(logs, dls))
+        assert abs(G - want_G) <= tol_G, ("G", y, G, want_G)
+        for t in range(3):
+            terms = [(g + 1) * lam[t] for g, lam in zip(logs, normals)]
+            tol = printed * abs(0.5 * sum(terms)) + 1e-12 * 0.5 * sum(map(abs, terms))
+            tol += 0.5 * sum(abs(lam[t]) * dl / l for lam, dl, l in zip(normals, dls, forms))
+            assert abs(x[t] - 0.5 * sum(terms)) <= tol, (f"x{t + 1}", y, x[t], 0.5 * sum(terms))
+        want_F = 0.5 * sum(forms)
+        assert abs(F - want_F) <= (printed + 1e-12) * want_F + 0.5 * sum(dls), ("F", y, F, want_F)

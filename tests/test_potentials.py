@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sasakit import (
     BoundaryOrOutside,
     MismatchedDiagrams,
+    StencilOutsideDomain,
     LinearTerm,
     QuadraticCoordinate,
     RationalBump,
@@ -343,3 +344,75 @@ def test_newton_evaluates_one_gradient_per_trial_point(monkeypatch):
         legendre_roundtrip_error(pot, y)
         # the round trip adds one gradient to the same solve, and no value or Hessian
         assert dict(calls) == {**newton, "grad": newton["grad"] + 1}
+
+
+@st.composite
+def potentials_with_stacks(draw):
+    """(potential, its per-term reference, a stack of interior points): the
+    canonical potential of a family member or a shear of one, bare or
+    shifted by one extra term."""
+    d = draw(st.sampled_from(FAMILY))
+    if draw(st.booleans()):
+        d = transform_normals(d, random_sl3(draw(st.randoms(use_true_random=False))))
+    extras = [
+        None,
+        (0.7, RationalBump(d.normals[0], d.normals[1], c=canonical_reeb(d))),
+        (0.4, RationalBump(0, 2)),
+        (0.3, QuadraticCoordinate(1)),
+        (1.5, LinearTerm([0.2, -0.4, 0.9], 0.3)),
+    ]
+    extra = draw(st.sampled_from(extras))
+    pot = canonical_potential(d)
+    ref = loop_canonical(d)
+    if extra is not None:
+        pot = shifted_potential(pot, extra[1], extra[0])
+        ref = LoopPotential(ref.entropy, [extra])
+    m = draw(st.integers(1, 6))
+    ys = np.array(interior_points(d, m, seed=draw(st.integers(0, 2**16))))
+    return pot, ref, ys
+
+
+def _level_spread(ref, y):
+    """How far value, gradient and Hessian move when each level l = <lam, y>
+    moves by its own rounding scale <|lam|, |y|>.
+
+    A stack and a single point sum the levels in different orders, so a
+    level that cancels differs by that much more than `ref.sizes` allows.
+    """
+    spread = [0.0, 0.0, 0.0]
+    for w, lam in ref.entropy:
+        lam = np.asarray(lam)
+        level, scale = lam @ y, np.abs(lam) @ np.abs(y)
+        spread[0] += abs(w) * abs(np.log(level) + 1) * scale
+        spread[1] += abs(w) * scale / level * np.abs(lam)
+        spread[2] += abs(w) * scale / level**2 * np.abs(np.outer(lam, lam))
+    return spread
+
+
+@settings(max_examples=100, deadline=None)
+@given(potentials_with_stacks())
+def test_batched_evaluation_equals_row_by_row(case):
+    pot, ref, ys = case
+    for k, name in enumerate(("value", "grad", "hess")):
+        batch = getattr(pot, name)(ys)
+        assert batch.shape == (len(ys),) + np.shape(getattr(pot, name)(ys[0]))
+        for y, got in zip(ys, batch):
+            size = ref.sizes(y)[k] + _level_spread(ref, y)[k]
+            assert np.all(np.abs(got - getattr(pot, name)(y)) <= 1e-13 * size)
+
+
+@settings(max_examples=50, deadline=None)
+@given(potentials_with_stacks())
+def test_batched_inversion_equals_per_row(case):
+    pot, _, ys = case
+    xs, starts = pot.grad(ys), ys * 1.1
+    try:
+        rows = np.array([invert_gradient(pot, x, y0=s) for x, s in zip(xs, starts)])
+    except (StencilOutsideDomain, np.linalg.LinAlgError) as exc:
+        with pytest.raises(type(exc)):
+            invert_gradient(pot, xs, y0=starts)
+        return
+    batch = invert_gradient(pot, xs, y0=starts)
+    assert batch.shape == ys.shape
+    assert np.all(np.abs(batch - rows) <= 1e-11 * (1 + np.abs(rows)))
+    assert np.all(np.abs(batch - ys) <= 1e-8 * (1 + np.abs(ys)))
