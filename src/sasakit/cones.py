@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from math import gcd
@@ -30,6 +29,7 @@ from .errors import (
 from .lattice import (
     IntMatrix,
     IntVector,
+    Record,
     _as_int_vector,
     _primitive,
     _saturated,
@@ -39,12 +39,15 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class ToricDiagram:
+class ToricDiagram(Record):
     """Integer facet normals of a rational polyhedral cone of full rank."""
 
     rank: int
     normals: tuple[IntVector, ...]
+
+    def __init__(self, rank, normals):
+        d = self.__dict__
+        d["rank"], d["normals"] = rank, normals
 
     @property
     def d(self) -> int:
@@ -54,8 +57,7 @@ class ToricDiagram:
         return iter(self.normals)
 
 
-@dataclass(frozen=True)
-class FaceDescriptor:
+class FaceDescriptor(Record):
     """A proper face, recorded by the normals vanishing on it.
 
     `witness` is a point in the relative interior of the face, or None when
@@ -65,6 +67,10 @@ class FaceDescriptor:
     kind: str  # "facet" or "edge"
     indices: tuple[int, ...]
     witness: tuple[int, ...] | None
+
+    def __init__(self, kind, indices, witness):
+        d = self.__dict__
+        d["kind"], d["indices"], d["witness"] = kind, indices, witness
 
     @property
     def nonempty(self) -> bool:
@@ -222,8 +228,7 @@ def validate_diagram(normals, rank: int | None = None) -> ToricDiagram:
 
 # --- face skeleton at rank 3 --------------------------------------------------
 
-@dataclass(frozen=True)
-class ConeSkeleton:
+class ConeSkeleton(Record):
     """Extreme rays and the facet cycle of a rank-3 cone.
 
     rays: primitive generators, in cyclic order; active[j] is the set of
@@ -240,6 +245,11 @@ class ConeSkeleton:
     facet_cycle: tuple[int, ...]
     grazing: tuple[int, ...]
     empty: tuple[int, ...]
+
+    def __init__(self, rays, active, facet_cycle, grazing, empty):
+        d = self.__dict__
+        d["rays"], d["active"], d["facet_cycle"] = rays, active, facet_cycle
+        d["grazing"], d["empty"] = grazing, empty
 
 
 @_kept_on_diagram
@@ -345,11 +355,14 @@ def extreme_rays(diagram: ToricDiagram) -> tuple[IntVector, ...]:
 
 # --- goodness ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GoodnessReport:
+class GoodnessReport(Record):
     good: bool
-    failing_face: tuple[int, ...] | None = None
-    reason: str | None = None
+    failing_face: tuple[int, ...] | None
+    reason: str | None
+
+    def __init__(self, good, failing_face=None, reason=None):
+        d = self.__dict__
+        d["good"], d["failing_face"], d["reason"] = good, failing_face, reason
 
     def __bool__(self) -> bool:
         return self.good

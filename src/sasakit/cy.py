@@ -9,23 +9,31 @@ validated diagrams have full rank) or it does not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
 from .cones import ToricDiagram, _kept_on_diagram, elimination, height_covector, torsion
 from .errors import InfeasibleSlice
-from .lattice import IntMatrix, complete_to_unimodular, is_primitive, kernel_basis_from_rref
+from .lattice import (
+    IntMatrix,
+    Record,
+    complete_to_unimodular,
+    is_primitive,
+    kernel_basis_from_rref,
+)
 from .lattice import smith_normal_form  # noqa: F401  perfbench/tracing.py patches this name
 
 
-@dataclass(frozen=True)
-class CalabiYauData:
+class CalabiYauData(Record):
     """The covector gamma and its height l, with l*gamma primitive."""
 
     gamma: tuple[Fraction, ...]
     height: int
+
+    def __init__(self, gamma, height):
+        d = self.__dict__
+        d["gamma"], d["height"] = gamma, height
 
     def pairing(self, vector) -> Fraction:
         return sum(g * x for g, x in zip(self.gamma, vector))
@@ -36,8 +44,7 @@ class CalabiYauData:
         return complete_to_unimodular(tuple(int(g * self.height) for g in self.gamma))
 
 
-@dataclass(frozen=True, eq=False)
-class KernelLattice:
+class KernelLattice(Record):
     """Kernel data of the torus map sending basis vectors to the normals.
 
     The basis is built on first read; equality compares basis and component
@@ -46,6 +53,10 @@ class KernelLattice:
 
     diagram: ToricDiagram
     component_group: tuple[int, ...]
+
+    def __init__(self, diagram, component_group):
+        d = self.__dict__
+        d["diagram"], d["component_group"] = diagram, component_group
 
     @cached_property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:

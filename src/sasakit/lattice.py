@@ -9,12 +9,45 @@ unimodular inverse, kernel basis and height covector in the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 
 IntVector = tuple[int, ...]
+
+
+class Record:
+    """A frozen value whose fields are its class's annotations, in order.
+
+    Each subclass writes its own `__init__`, storing the fields straight into
+    `__dict__`.  Equality (same class, same fields), hash and repr read the
+    fields only, so memos kept in `__dict__` (`cached_property`,
+    `cones._kept_on_diagram`) take no part in them.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _as_int_vector(v) -> IntVector:
@@ -24,13 +57,16 @@ def _as_int_vector(v) -> IntVector:
     return out
 
 
-@dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(Record):
     """Immutable integer matrix, row-major."""
 
     rows: int
     cols: int
     entries: tuple[IntVector, ...]
+
+    def __init__(self, rows, cols, entries):
+        d = self.__dict__
+        d["rows"], d["cols"], d["entries"] = rows, cols, entries
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -86,13 +122,16 @@ class IntMatrix:
         return IntMatrix(n, n, tuple(tuple(scale * x for x in row[n:]) for row in rows))
 
 
-@dataclass(frozen=True)
-class SnfDecomposition:
+class SnfDecomposition(Record):
     """Smith normal form data: U @ M @ V == D with U, V unimodular."""
 
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
+
+    def __init__(self, U, D, V):
+        d = self.__dict__
+        d["U"], d["D"], d["V"] = U, D, V
 
     @property
     def diagonal(self) -> IntVector:

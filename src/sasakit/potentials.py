@@ -23,12 +23,11 @@ difference of potentials preserves the pairing vector (degree-zero gradient).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .cones import ToricDiagram, canonical_reeb, interior_point, reeb_cone_contains
 from .errors import BoundaryOrOutside, MismatchedDiagrams, StencilOutsideDomain
+from .lattice import Record
 
 
 class ExtraTerm:
@@ -128,18 +127,23 @@ class LinearTerm(ExtraTerm):
         return np.zeros(y.shape + y.shape[-1:])
 
 
-@dataclass(frozen=True, eq=False)
-class SymplecticPotential:
+class SymplecticPotential(Record):
     """sum_a weights[a] l_a log l_a over the levels l = y @ forms.T, plus extras.
 
-    `forms` is a k x n float array, one row per entropy term.  eq=False:
-    the generated comparison would raise on the array fields.
+    `forms` is a k x n float array, one row per entropy term.  Equality is
+    identity: comparing the array fields would raise.
     """
 
     diagram: ToricDiagram
     weights: np.ndarray
     forms: np.ndarray
-    extras: tuple[tuple[float, ExtraTerm], ...] = ()
+    extras: tuple[tuple[float, ExtraTerm], ...]
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, diagram, weights, forms, extras=()):
+        d = self.__dict__
+        d["diagram"], d["weights"], d["forms"], d["extras"] = diagram, weights, forms, extras
 
     def domain_contains(self, y):
         """Whether y lies in the open domain, or whether each row of a stack does."""
@@ -174,16 +178,22 @@ class SymplecticPotential:
         return out
 
 
-@dataclass(frozen=True, eq=False)
-class PotentialSample:
+class PotentialSample(Record):
     """The point, the potential, its derivatives and the dual value, or a
-    stack of m of each for a stack of m points.  eq=False: fields are arrays."""
+    stack of m of each for a stack of m points.  Equality is identity: the
+    fields are arrays."""
 
     y: np.ndarray
     G: np.ndarray
     gradG: np.ndarray
     hessG: np.ndarray
     F: np.ndarray
+
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, y, G, gradG, hessG, F):
+        d = self.__dict__
+        d["y"], d["G"], d["gradG"], d["hessG"], d["F"] = y, G, gradG, hessG, F
 
     @property
     def x(self) -> np.ndarray:
@@ -217,7 +227,9 @@ def canonical_xi_potential(diagram: ToricDiagram, xi) -> SymplecticPotential:
 def shifted_potential(
     base: SymplecticPotential, extra: ExtraTerm, coeff: float = 1.0
 ) -> SymplecticPotential:
-    return replace(base, extras=base.extras + ((coeff, extra),))
+    return SymplecticPotential(
+        base.diagram, base.weights, base.forms, base.extras + ((coeff, extra),)
+    )
 
 
 def _combine(g0: SymplecticPotential, g1: SymplecticPotential, t: float) -> SymplecticPotential:

@@ -13,33 +13,36 @@ volume is a convention left to the caller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import log, sqrt
 
 from .cones import ToricDiagram, _cross, _dot, _kept_on_diagram, cone_skeleton, extreme_rays
 from .cy import CalabiYauData, compute_gamma, normalize_height
 from .errors import InfeasibleSlice, UnboundedRegion
-from .lattice import IntMatrix
+from .lattice import IntMatrix, Record
 
 MAX_ITERATIONS = 100
 
 
-@dataclass(frozen=True)
-class ReebVector:
+class ReebVector(Record):
     """A pairing vector in the open Reeb cone."""
 
     xi: tuple[float, ...]
+
+    def __init__(self, xi):
+        self.__dict__["xi"] = xi
 
     def __iter__(self):
         return iter(self.xi)
 
 
-@dataclass(frozen=True)
-class TruncatedPolytope:
+class TruncatedPolytope(Record):
     """Vertices of {y in C : <y, xi> <= 1}; the apex comes first."""
 
     vertices: tuple[tuple, ...]
+
+    def __init__(self, vertices):
+        self.__dict__["vertices"] = vertices
 
     @property
     def cap_vertices(self) -> tuple[tuple, ...]:
@@ -86,13 +89,17 @@ def volume(diagram: ToricDiagram, xi):
     return total / 6
 
 
-@dataclass(frozen=True)
-class MinimizationResult:
+class MinimizationResult(Record):
     xi: ReebVector
     volume: float
     grad_norm: float
     iterations: int
     converged: bool
+
+    def __init__(self, xi, volume, grad_norm, iterations, converged):
+        d = self.__dict__
+        d["xi"], d["volume"], d["grad_norm"] = xi, volume, grad_norm
+        d["iterations"], d["converged"] = iterations, converged
 
 
 def _reduced_basis(a, b, c):

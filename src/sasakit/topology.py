@@ -9,20 +9,23 @@ is the lattice area of its (p, q) polygon, kept exact as twice-area.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import ToricDiagram, height1_points, torsion
-from .lattice import IntMatrix, invariant_factors
+from .lattice import IntMatrix, Record, invariant_factors
 from .lattice import smith_normal_form  # noqa: F401  perfbench/tracing.py patches this name
 
 
-@dataclass(frozen=True)
-class TopologyReport:
+class TopologyReport(Record):
     pi1_invariant_factors: tuple[int, ...]
     b2: int | None
     area_times_2: int | None
     identification: str
+
+    def __init__(self, pi1_invariant_factors, b2, area_times_2, identification):
+        d = self.__dict__
+        d["pi1_invariant_factors"], d["b2"] = pi1_invariant_factors, b2
+        d["area_times_2"], d["identification"] = area_times_2, identification
 
     def to_json_dict(self) -> dict:
         return {

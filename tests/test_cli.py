@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from sasakit.cli import main
 from sasakit.cones import ToricDiagram
 from sasakit.cy import compute_gamma
 from sasakit.errors import DiagramError, SasakitError
-from sasakit.reeb import minimize_volume, volume
+from sasakit.reeb import MinimizationResult, minimize_volume, volume
 from sasakit.serialize import diagram_to_dict, dumps, format_float, load_diagram
 from sasakit import lattice, lens, main4_even, main4_odd, non_cy, z5_lens
 
@@ -164,7 +163,9 @@ def _restarts_fail(monkeypatch):
 
     def restarts_fail(diagram, cy, start_offset=None):
         res = minimize(diagram, cy, start_offset=start_offset)
-        return replace(res, converged=start_offset is None)
+        return MinimizationResult(
+            res.xi, res.volume, res.grad_norm, res.iterations, converged=start_offset is None
+        )
 
     monkeypatch.setattr(cli, "minimize_volume", restarts_fail)
 
@@ -388,6 +389,22 @@ def test_geodesic_test_bump_domain_is_basis_free(tmp_path, capsys):
         # the bump's numerator pairs two facet normals, so it is positive at every
         # interior sample point and the residual ladder is never vacuous
         assert float(payload["convergence_order"]) > 1.8
+
+
+def test_geodesic_test_prints_no_order_at_the_rounding_floor(tmp_path, capsys):
+    # main4-odd entry 48 of perfbench/small_d.json: its residual at h = 1e-2 is
+    # already about 2e-10, the rounding floor of F's second t-difference, so the
+    # h-ladder halves nothing (the order read -0.08)
+    normals = [
+        (1, -2, 0), (1, -1, 1), (3, -4, 3), (7, -11, 6), (17, -30, 12),
+        (27, -54, 13), (33, -70, 12), (19, -41, 6), (11, -24, 3), (5, -11, 1),
+    ]
+    path = write_diagram(tmp_path, "entry48.json", normals)
+    code, out = run(capsys, ["geodesic-test", path])
+    assert code == 0, out
+    payload = json.loads(out)
+    assert payload["convergence_order"] is None
+    assert all(float(v) < 1e-9 for v in payload["geodesic_residuals"].values())
 
 
 SHEAR_ENTRIES = st.sampled_from([0, 1, -2, 10**200, -(10**200), 10**400]) | st.integers(-1000, 1000)

@@ -1,8 +1,11 @@
-"""numpy loads only where a potential is evaluated.
+"""numpy loads only where a potential is evaluated, and a cold process loads
+no module it does not use.
 
 `check`, `analyze --cy --topo --reeb` and `--scan` are exact or plain-float
-work; importing numpy would be most of a cold process.  Each command runs in
-a fresh interpreter, which then reports whether numpy was imported.  The
+work; importing numpy would be most of a cold process.  No command loads
+`dataclasses` (with `inspect`, which numpy alone brings in), and `csv` loads
+only where a CSV is written.  Each command runs in a fresh interpreter,
+which then reports which of these modules were imported.  The
 lazily bound names must still be the `sasakit.potentials` objects, and the
 grid path must call them through `sasakit.cli`'s attributes, where
 perfbench/tracing.py puts its wrappers.
@@ -23,13 +26,15 @@ from sasakit.serialize import dumps
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# runs cli.main on argv, then prints whether numpy is in sys.modules
-SCRIPT = """
+WATCHED = ("numpy", "dataclasses", "inspect", "csv")
+
+# runs cli.main on argv, then prints which WATCHED modules are in sys.modules
+SCRIPT = f"""
 import sys
 from sasakit import cli
 code = cli.main(sys.argv[1:])
 print()
-print(code, "numpy" in sys.modules)
+print(code, *(name for name in {WATCHED!r} if name in sys.modules))
 """
 
 
@@ -40,25 +45,28 @@ def _fresh_cli(argv):
         [sys.executable, "-c", SCRIPT, *argv], capture_output=True, text=True, env=env
     )
     assert proc.stderr == ""
-    code, loaded = proc.stdout.splitlines()[-1].split()
-    return int(code), loaded == "True"
+    code, *loaded = proc.stdout.splitlines()[-1].split()
+    return int(code), set(loaded)
 
 
 @pytest.mark.parametrize(
-    "flags, numpy_loaded",
+    "flags, loaded",
     [
-        (["check"], False),
-        (["analyze", "--cy", "--topo", "--reeb"], False),
-        (["analyze", "--reeb", "--scan", "1,2,3", "--scan-out", "{tmp}/scan.csv"], False),
-        (["analyze", "--potential-grid", "4", "--grid-out", "{tmp}/grid.csv"], True),
+        (["check"], set()),
+        (["analyze", "--cy", "--topo", "--reeb"], set()),
+        (["analyze", "--reeb", "--scan", "1,2,3", "--scan-out", "{tmp}/scan.csv"], {"csv"}),
+        (["analyze", "--potential-grid", "4", "--grid-out", "{tmp}/grid.csv"], {"numpy", "csv"}),
     ],
     ids=["check", "analyze", "scan", "potential-grid"],
 )
-def test_numpy_loads_only_for_potentials(tmp_path, flags, numpy_loaded):
+def test_numpy_loads_only_for_potentials(tmp_path, flags, loaded):
     path = tmp_path / "lens2.json"
     path.write_text(dumps({"rank": 3, "normals": [list(v) for v in lens(2).normals]}))
     argv = [flags[0], str(path)] + [f.format(tmp=tmp_path) for f in flags[1:]]
-    assert _fresh_cli(argv) == (0, numpy_loaded)
+    code, found = _fresh_cli(argv)
+    if "numpy" in found:
+        found.discard("inspect")  # numpy itself imports it
+    assert (code, found) == (0, loaded)
 
 
 def test_lazy_names_are_the_potentials_objects():
