@@ -128,8 +128,8 @@ def cmd_check(args) -> int:
     diagram = _load_rank3(args.path)
     if diagram is None:
         return EXIT_INPUT
-    report = is_good(diagram)
     faces = enumerate_faces_3d(diagram)
+    report = is_good(diagram, faces=[f.indices for f in faces if f.kind == "edge"])
     out = {
         "input": diagram_to_dict(diagram),
         "tool": _tool_block(),

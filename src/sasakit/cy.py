@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cones import ToricDiagram, _kept_on_diagram, elimination, height_covector, torsion
+from .cones import ToricDiagram, _cross, _kept_on_diagram, elimination, height_covector, torsion
 from .errors import InfeasibleSlice
 from .lattice import (
     IntMatrix,
@@ -40,7 +40,8 @@ class CalabiYauData(Record):
 
     @cached_property
     def normalizer(self) -> IntMatrix:
-        """A in SL(m+1, Z) with A(l*gamma) = (-1, 0, ..., 0); one Smith transform per object."""
+        """A in SL(m+1, Z) with A(l*gamma) = (-1, 0, ..., 0): one Euclid pass on
+        l*gamma (`complete_to_unimodular`), once per object."""
         return complete_to_unimodular(tuple(int(g * self.height) for g in self.gamma))
 
 
@@ -113,11 +114,24 @@ def normalize_height(
 @_kept_on_diagram
 def _normalized(diagram: ToricDiagram) -> tuple[IntMatrix, ToricDiagram]:
     cy = compute_gamma(diagram)
-    at_inv = cy.normalizer.inverse_unimodular().transpose()
-    new_normals = tuple(at_inv.mul_vector(v) for v in diagram.normals)
+    A = cy.normalizer
+    if diagram.rank == 3:
+        a0, a1, a2 = A.entries
+        cof = (_cross(a1, a2), _cross(a2, a0), _cross(a0, a1))  # A^-T, as det A = 1
+        new_normals = _map_normals(cof, diagram.normals)
+    else:
+        at_inv = A.inverse_unimodular().transpose()
+        new_normals = tuple(map(at_inv.mul_vector, diagram.normals))
     assert all(v[0] == cy.height for v in new_normals)
     # a unimodular image of a validated diagram is valid: no second Fourier-Motzkin
-    return cy.normalizer, ToricDiagram(rank=diagram.rank, normals=new_normals)
+    return A, ToricDiagram(rank=diagram.rank, normals=new_normals)
+
+
+def _map_normals(cof, normals):
+    """cof @ v for each rank-3 normal v, unrolled."""
+    (a, b, c), (d, e, f), (g, h, i) = cof
+    return tuple((a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+                 for x, y, z in normals)
 
 
 def kernel_lattice(diagram: ToricDiagram) -> KernelLattice:

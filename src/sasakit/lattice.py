@@ -1,10 +1,12 @@
 """Exact integer linear algebra.
 
 Everything here runs on Python ints, so results are exact at any magnitude:
-Smith normal forms (with transforms, for unimodular completion), transform-free
-invariant factors, primitivity, saturation of sublattices, and the one
-fraction-free (Bareiss) elimination, `rref`, behind every rank, determinant,
-unimodular inverse, kernel basis and height covector in the package.
+transform-free invariant factors behind every lattice verdict, unimodular
+completion of a primitive vector by one Euclid pass on its column, primitivity,
+saturation of sublattices, and the one fraction-free (Bareiss) elimination,
+`rref`, behind every rank, determinant, unimodular inverse, kernel basis and
+height covector in the package.  The full Smith normal form with its
+transforms stays as a library function; no verdict calls it.
 """
 
 from __future__ import annotations
@@ -323,25 +325,27 @@ def complete_to_unimodular(v) -> IntMatrix:
 
     The sign convention targets -1 in the leading slot.  Requires a primitive
     vector of length at least 2; in rank 1 no SL(1, Z) element can flip sign.
+    A is the row transform of one Euclid pass on the column v (the Smith
+    pivot loop of `_diagonalize`: a single column takes no column
+    operations), with row 0 negated to send v to -e_1 and, if that leaves
+    det -1, row 1 negated too.  Its certificate is A v = -e_1 and det A = 1.
     """
     v = _as_int_vector(v)
-    if len(v) < 2:
+    n = len(v)
+    if n < 2:
         raise ValueError("need at least 2 components to complete to SL(n, Z)")
-    if not is_primitive(v):
+    if vector_gcd(v) != 1:
         raise ValueError(f"{v} is not primitive")
-    column = IntMatrix.from_rows([[x] for x in v])
-    snf = smith_normal_form(column)
-    a = [list(r) for r in snf.U.entries]
-    image = [sum(c * x for c, x in zip(row, v)) for row in a]
-    assert image[0] in (1, -1) and all(x == 0 for x in image[1:])
-    if image[0] == 1:
-        a[0] = [-x for x in a[0]]
-    A = IntMatrix.from_rows(a)
+    column = [[x] for x in v]
+    a = [[int(i == j) for j in range(n)] for i in range(n)]
+    _diagonalize(column, a)  # leaves a v = column = (1, 0, ..., 0)
+    a[0] = [-x for x in a[0]]
+    A = IntMatrix(n, n, tuple(map(tuple, a)))
     if A.det() == -1:
         a[1] = [-x for x in a[1]]
-        A = IntMatrix.from_rows(a)
+        A = IntMatrix(n, n, tuple(map(tuple, a)))
     assert A.det() == 1
-    assert A.mul_vector(v) == tuple([-1] + [0] * (len(v) - 1))
+    assert A.mul_vector(v) == (-1,) + (0,) * (n - 1)
     return A
 
 

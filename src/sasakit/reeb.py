@@ -207,12 +207,13 @@ def minimize_volume(
     if cy != compute_gamma(diagram):  # gamma is unique: the same as pairing to -1
         raise InfeasibleSlice("not the diagram's own height data: no normalization slice")
     rays, dets, (b1, x, y), back, cov = _reduced_frame(diagram)
-    if start_offset is not None:
+    if start_offset is None:
+        current = _fan(rays, dets, x, y)
+    else:
         dx, dy = (float(t) for t in start_offset)
-        while _fan(rays, dets, x + dx, y + dy) is None:
+        while (current := _fan(rays, dets, x + dx, y + dy)) is None:
             dx, dy = dx / 2, dy / 2
         x, y = x + dx, y + dy
-    current = _fan(rays, dets, x, y)
     iterations, converged = 0, False
     while True:
         val, (gx, gy), (hxx, hxy, hyy) = current

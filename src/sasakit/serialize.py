@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .cones import ToricDiagram, validate_diagram
 from .cy import CalabiYauData, compute_gamma
@@ -16,6 +17,7 @@ from .errors import DiagramError
 
 FLOAT_FORMAT = "%.12g"
 PRECISION = 12
+_INF = float("inf")
 
 
 def format_float(x: float) -> str:
@@ -100,4 +102,52 @@ def load_diagram(path: str) -> tuple[ToricDiagram, CalabiYauData | None]:
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """`json.dumps(obj, indent=2, sort_keys=True)` plus a newline, byte for byte.
+
+    json itself uses its pure-Python encoder whenever `indent` is set; this
+    writer joins each level in one step instead, and a list of plain ints
+    (the normals, the normalizer) in one join.  Strings go through json's own
+    C escaper.  TypeError for a key that is not a string and for any value
+    json would not encode.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(o, newline: str) -> str:
+    """o as json writes it at the depth whose line break and indent is `newline`."""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = newline + "  "
+        for x in o:
+            if type(x) is not int:  # bools and int subclasses take the long way
+                items = [_encode(x, inner) for x in o]
+                break
+        else:
+            items = map(repr, o)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = newline + "  "
+        items = [
+            encode_basestring_ascii(k) + ": " + _encode(v, inner) for k, v in sorted(o.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(o, str):
+        return encode_basestring_ascii(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if o != o:
+            return "NaN"
+        if o == _INF or o == -_INF:
+            return "Infinity" if o > 0 else "-Infinity"
+        return float.__repr__(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")

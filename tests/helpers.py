@@ -253,6 +253,24 @@ def kernel_lattice_oracle(diagram: ToricDiagram, height: int):
     return basis, flag
 
 
+def completion_oracle(v) -> IntMatrix:
+    """The Smith-transform completion of a primitive v: U of the column's full
+    SNF (verified), row 0 negated where U v = e_1, row 1 where det is -1."""
+    snf = smith_normal_form(IntMatrix.from_rows([[x] for x in v]))
+    a = [list(r) for r in snf.U.entries]
+    if snf.U.mul_vector(v)[0] == 1:
+        a[0] = [-x for x in a[0]]
+    if IntMatrix.from_rows(a).det() == -1:
+        a[1] = [-x for x in a[1]]
+    return IntMatrix.from_rows(a)
+
+
+def normalized_normals_oracle(A: IntMatrix, normals):
+    """A^-T applied to each normal, by the elimination inverse of A."""
+    at_inv = A.inverse_unimodular().transpose()
+    return tuple(at_inv.mul_vector(v) for v in normals)
+
+
 def skeleton_oracle(diagram: ToricDiagram) -> ConeSkeleton:
     """The all-pairs skeleton: every pair cross product tested against every normal.
 

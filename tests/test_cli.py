@@ -562,9 +562,9 @@ def test_family_help_is_an_unknown_family(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
-def test_analyze_runs_one_transform_snf(tmp_path, capsys, monkeypatch):
-    # the lattice verdicts are transform-free; only complete_to_unimodular,
-    # in normalize_height, needs U, on the 3x1 column of l*gamma
+def test_analyze_runs_no_transform_snf(tmp_path, capsys, monkeypatch):
+    # the lattice verdicts are transform-free, and the normalizer is one Euclid
+    # pass on the column l*gamma: no Smith transform at all
     shapes = []
     snf = lattice.smith_normal_form
 
@@ -577,11 +577,11 @@ def test_analyze_runs_one_transform_snf(tmp_path, capsys, monkeypatch):
     path = write_diagram(tmp_path, "m4.json", main4_even(8, 3).normals)
     code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
     assert code == 0
-    assert shapes == [(3, 1)]
+    assert shapes == []
 
 
-def test_analyze_runs_one_normalizer_inverse(tmp_path, capsys, monkeypatch):
-    # the cy stage and the three Reeb starts share one A^-T
+def test_analyze_runs_no_normalizer_inverse_at_rank_3(tmp_path, capsys, monkeypatch):
+    # at rank 3, A^-T is A's cofactor matrix: no elimination inverts A
     calls = []
     inverse = lattice.IntMatrix.inverse_unimodular
 
@@ -593,7 +593,7 @@ def test_analyze_runs_one_normalizer_inverse(tmp_path, capsys, monkeypatch):
     path = write_diagram(tmp_path, "m4.json", main4_even(8, 3).normals)
     code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
     assert code == 0
-    assert len(calls) == 1
+    assert calls == []
 
 
 def _record(monkeypatch, owner, name):
@@ -614,6 +614,17 @@ def _analyze_reeb(tmp_path, capsys, normals):
     assert code == 0
 
 
+def test_check_builds_one_face_list(tmp_path, capsys, monkeypatch):
+    # the face counts and the goodness verdict read one enumerate_faces_3d
+    calls = _record(monkeypatch, cones, "enumerate_faces_3d")
+    monkeypatch.setattr(cli, "enumerate_faces_3d", cones.enumerate_faces_3d)
+    not_good = [(1, 0, 0), (1, 2, 4), (1, 1, 4)]
+    for exit_code, normals in ((0, main4_even(8, 3).normals), (2, not_good)):
+        calls.clear()
+        code, _ = run(capsys, ["check", write_diagram(tmp_path, "d.json", normals)])
+        assert (code, len(calls)) == (exit_code, 1)
+
+
 def test_analyze_builds_one_reeb_frame(tmp_path, capsys, monkeypatch):
     # the three Newton starts read one frame kept on the diagram, so its
     # Lagrange-Gauss reduction runs once
@@ -624,14 +635,14 @@ def test_analyze_builds_one_reeb_frame(tmp_path, capsys, monkeypatch):
 
 def test_analyze_maps_the_normals_by_the_normalizer_once(tmp_path, capsys, monkeypatch):
     # the cy stage and the Reeb frame share one A^-T N (sheared, so that A^-T
-    # is not the identity, which other products use too)
+    # is not the identity)
     shear = lattice.IntMatrix.from_rows([[1, 0, 0], [1, 1, 0], [2, -1, 1]])
     normals = [shear.mul_vector(v) for v in main4_even(8, 3).normals]
     at_inv = compute_gamma(cones.validate_diagram(normals)).normalizer.inverse_unimodular().transpose()
-    calls = _record(monkeypatch, lattice.IntMatrix, "mul_vector")
+    calls = _record(monkeypatch, cy_module, "_map_normals")
     _analyze_reeb(tmp_path, capsys, normals)
-    mapped = [v for m, v in calls if m == at_inv]
-    assert [mapped.count(v) for v in normals] == [1] * len(normals)
+    assert [cof for cof, _ in calls] == [at_inv.entries]
+    assert list(calls[0][1]) == normals
 
 
 def test_analyze_builds_no_kernel_basis(tmp_path, capsys, monkeypatch):
@@ -722,8 +733,8 @@ def test_analyze_runs_one_smith_diagonal_of_the_normals(tmp_path, capsys, monkey
 
 def test_analyze_runs_one_elimination_of_the_normals(tmp_path, capsys, monkeypatch):
     # rank, gamma, the interior witness and the kernel basis all read one
-    # rref of [N | I]: gamma costs no solve of its own, the only other
-    # augmented elimination is the normalizer's [A | I], and the rest are
+    # rref of [N | I]: gamma costs no solve of its own, the normalizer is
+    # inverted by cofactors, not by an augmented [A | I], and the rest are
     # determinants of 3 x 3 or smaller; a diagram with a height covector
     # never runs Fourier-Motzkin
     shear = lattice.IntMatrix.from_rows([[1, 0, 0], [1, 1, 0], [2, -1, 1]])
@@ -748,7 +759,7 @@ def test_analyze_runs_one_elimination_of_the_normals(tmp_path, capsys, monkeypat
     code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
     assert code == 0
     d = len(normals)
-    assert sorted(s for s in shapes if s[1] > s[2]) == [(3, 6, 3), (3, d + 3, d)]
+    assert [s for s in shapes if s[1] > s[2]] == [(3, d + 3, d)]
     assert all(s[2] <= 3 for s in shapes if s[1] == s[2])
     assert systems == []
 

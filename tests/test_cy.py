@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sasakit import (
     CalabiYauData,
@@ -20,7 +21,9 @@ from sasakit import (
 from sasakit.lattice import IntMatrix
 
 from helpers import (
+    completion_oracle,
     kernel_lattice_oracle,
+    normalized_normals_oracle,
     octant,
     random_convex_height1_diagram,
     random_sl3,
@@ -97,6 +100,34 @@ def test_normalize_printed_matrix_agrees():
             (ell, 1, 1),
             (ell, 1, 2),
         ]
+
+
+HEIGHT_FAMILIES = (
+    [lens(ell) for ell in (1, 2, 3, 7)]
+    + [z5_lens(), main4_even(2, 1), main4_even(8, 3), main4_odd(3, 2), main4_odd(19, 4)]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(HEIGHT_FAMILIES), st.integers(0, 2**32), st.integers(1, 12))
+def test_normalize_height_matches_the_elimination_inverse(base, seed, shears):
+    # the cofactor map of the rank-3 path against A's elimination inverse, and A
+    # against the Smith-transform completion, exactly, on sheared family members
+    d = transform_normals(base, random_sl3(random.Random(seed), shears=shears, max_c=9))
+    cy = compute_gamma(d)
+    a, transformed = normalize_height(d, cy)
+    assert a == completion_oracle(tuple(int(g * cy.height) for g in cy.gamma))
+    assert transformed.normals == normalized_normals_oracle(a, d.normals)
+
+
+def test_normalize_height_at_other_ranks():
+    # ranks 2 and 4 invert A by elimination
+    for normals in ([(1, 0), (3, 1)], [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 1)]):
+        d = validate_diagram(normals)
+        cy = compute_gamma(d)
+        a, transformed = normalize_height(d, cy)
+        assert transformed.normals == normalized_normals_oracle(a, d.normals)
+        assert all(v[0] == cy.height for v in transformed.normals)
 
 
 def test_normalize_octant_height_one():

@@ -1,7 +1,9 @@
 import itertools
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from sasakit.lattice import (
     IntMatrix,
@@ -12,7 +14,7 @@ from sasakit.lattice import (
     sublattice_saturation_equal,
 )
 
-from helpers import invariant_factors_via_minors, saturation_box_oracle
+from helpers import completion_oracle, invariant_factors_via_minors, saturation_box_oracle
 
 
 def test_snf_identity():
@@ -144,6 +146,24 @@ def test_complete_to_unimodular_random_property():
         assert a.mul_vector(v) == (-1, 0, 0)
         assert a.det() == 1
         done += 1
+
+
+COMPLETION_ENTRIES = st.sampled_from([0, 1, -1]) | st.integers(-(10**15), 10**15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(COMPLETION_ENTRIES, min_size=2, max_size=5))
+@example([0, 0, 1])
+@example([-1, 0, 0, 0, 0])
+@example([10**15, 10**15 - 1])
+def test_complete_to_unimodular_matches_the_smith_transform(entries):
+    # one Euclid pass on the column gives exactly the old full-SNF completion
+    g = gcd(*entries)
+    assume(g != 0)
+    v = tuple(x // g for x in entries)
+    a = complete_to_unimodular(v)
+    assert a == completion_oracle(v)
+    assert a.mul_vector(v) == (-1,) + (0,) * (len(v) - 1)
 
 
 def test_complete_to_unimodular_rejects_non_primitive():

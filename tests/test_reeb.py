@@ -17,6 +17,7 @@ from sasakit import (
     volume,
     z5_lens,
 )
+from sasakit import reeb
 from sasakit.lattice import IntMatrix
 from sasakit.reeb import _fan, _reduced_frame
 from sasakit.serialize import format_float
@@ -311,3 +312,27 @@ def test_restarts_agree():
             other = minimize_volume(d, cy, start_offset=[rng.uniform(-0.5, 0.5) for _ in range(2)])
             assert other.converged
             assert max(abs(x - y) for x, y in zip(base.xi.xi, other.xi.xi)) <= 1e-9 * scale
+
+
+def test_each_start_takes_one_fan_pass(monkeypatch):
+    # Newton starts from the fan pass that accepted the (halved) offset, so
+    # no start point is evaluated twice
+    calls = []
+
+    def recorded(rays, dets, x, y):
+        out = _fan(rays, dets, x, y)
+        calls.append(((x, y), out is None))
+        return out
+
+    monkeypatch.setattr(reeb, "_fan", recorded)
+    d = transform_normals(main4_odd(3, 2), random_sl3(random.Random(3)))
+    cy = compute_gamma(d)
+    halvings = []
+    for offset in (None, (0.3, -0.2), (80.0, -60.0)):
+        calls.clear()
+        result = minimize_volume(d, cy, start_offset=offset)
+        assert result.converged
+        k = next(i for i, (_, outside) in enumerate(calls) if not outside)
+        assert [p for p, _ in calls].count(calls[k][0]) == 1
+        halvings.append(k)
+    assert halvings[0] == halvings[1] == 0 < halvings[2]
