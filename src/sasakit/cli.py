@@ -21,7 +21,7 @@ from . import __version__
 from .cones import (
     ToricDiagram,
     canonical_reeb,
-    enumerate_faces_3d,
+    cone_skeleton,
     height1_points,
     is_good,
 )
@@ -128,16 +128,13 @@ def cmd_check(args) -> int:
     diagram = _load_rank3(args.path)
     if diagram is None:
         return EXIT_INPUT
-    faces = enumerate_faces_3d(diagram)
-    report = is_good(diagram, faces=[f.indices for f in faces if f.kind == "edge"])
+    report = is_good(diagram)
     out = {
         "input": diagram_to_dict(diagram),
         "tool": _tool_block(),
         **_goodness(report),
-        "faces": {
-            "facets": sum(1 for f in faces if f.kind == "facet"),
-            "edges": sum(1 for f in faces if f.kind == "edge"),
-        },
+        # every normal is one facet, the skeleton's rays are the edges
+        "faces": {"facets": diagram.d, "edges": len(cone_skeleton(diagram).rays)},
     }
     return _emit(out, EXIT_OK if report.good else EXIT_NOT_GOOD)
 
@@ -360,8 +357,7 @@ def cmd_family(args) -> int:
             raise ValueError(f"{args.family} requires {flags}")
         diagram = builder(*values)
     except ValueError as exc:
-        print(dumps({"error": str(exc)}), end="")
-        return EXIT_INPUT
+        return _fail(str(exc), EXIT_INPUT)
     print(dumps(diagram_to_dict(diagram)), end="")
     return EXIT_OK
 

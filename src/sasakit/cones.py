@@ -110,12 +110,6 @@ def height_covector(diagram: ToricDiagram) -> tuple[Fraction, ...] | None:
     return tuple(Fraction(-s, scale) for s in sums[diagram.d :])
 
 
-@_kept_on_diagram
-def torsion(diagram: ToricDiagram) -> IntVector:
-    """Smith torsion of Z^rank / span(normals): pi1 and the kernel torus's component group."""
-    return invariant_factors(IntMatrix.from_columns(diagram.normals))
-
-
 def _dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
@@ -252,6 +246,25 @@ class ConeSkeleton(Record):
         d["grazing"], d["empty"] = grazing, empty
 
 
+def _hull_chain(normals, order):
+    """One half of Andrew's monotone chain over `order`, strict left turns only.
+
+    The sort is just a sweep of the plane; the integer det3 test, written out
+    inline, alone fixes the orientation.  Each index is pushed once and popped
+    at most once, so the chain makes at most 2 len(order) turn tests.
+    """
+    out = []
+    for i in order:
+        x, y, z = normals[i]
+        while len(out) >= 2:
+            (a0, a1, a2), (b0, b1, b2) = normals[out[-2]], normals[out[-1]]
+            if (a1 * b2 - a2 * b1) * x + (a2 * b0 - a0 * b2) * y + (a0 * b1 - a1 * b0) * z > 0:
+                break
+            out.pop()
+        out.append(i)
+    return out
+
+
 @_kept_on_diagram
 def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     """The skeleton from one exact convex hull of the normals.
@@ -261,8 +274,9 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     extreme rays, whichever the witness.  Cost: the witness of validation
     (-gamma, or Fourier-Motzkin without a height covector), an O(d log d)
     sort of integer chart keys (Fractions without a height covector), at
-    most 4d integer det3 tests for the hull, and for each normal off the
-    hull two bisections and at most four integer dot products with rays.
+    most 4d integer det3 tests for the hull (`_hull_chain`), and for each
+    normal off the hull two bisections and at most four integer dot products
+    with rays.
     """
     if diagram.rank != 3:
         raise ValueError("face enumeration is implemented for rank 3 only")
@@ -275,20 +289,8 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     else:
         keys = [(lam[a] / _dot(w, lam), lam[b] / _dot(w, lam)) for lam in normals]
 
-    # Andrew's monotone chain, strict left turns only.  The sort is just a
-    # sweep of the plane; the integer det3 test alone fixes the orientation.
-    def chain(order):
-        out = []
-        for i in order:
-            while len(out) >= 2 and _dot(
-                _cross(normals[out[-2]], normals[out[-1]]), normals[i]
-            ) <= 0:
-                out.pop()
-            out.append(i)
-        return out
-
     order = sorted(range(len(normals)), key=keys.__getitem__)
-    lower, upper = chain(order), chain(reversed(order))
+    lower, upper = _hull_chain(normals, order), _hull_chain(normals, reversed(order))
     hull = lower[:-1] + upper[:-1]
     # counterclockwise, so det3(normals[c0], normals[c1], sum of hull normals) > 0
     first = hull.index(min(hull))
@@ -353,6 +355,30 @@ def extreme_rays(diagram: ToricDiagram) -> tuple[IntVector, ...]:
     return cone_skeleton(diagram).rays
 
 
+@_kept_on_diagram
+def torsion(diagram: ToricDiagram) -> IntVector:
+    """Invariant factors of Z^rank / span(normals): pi1 and the kernel torus's
+    component group.
+
+    At rank 3, an edge of the facet cycle whose c = lambda_i x lambda_j is
+    primitive decides it in O(d): <c, .> maps Z^3 onto Z with kernel the
+    saturated span(lambda_i, lambda_j), so the quotient is Z/g with
+    g = gcd_k <c, lambda_k>.  Every good diagram has such an edge.  Without
+    one the group need not be cyclic ((1,0,0), (1,2,0), (1,0,2) gives
+    Z/2 x Z/2), and the transform-free Smith diagonal of the normals decides,
+    as it does at other ranks.
+    """
+    if diagram.rank == 3:
+        normals = diagram.normals
+        cycle = cone_skeleton(diagram).facet_cycle
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            if _saturated((normals[i], normals[j])):
+                c0, c1, c2 = _cross(normals[i], normals[j])
+                g = gcd(*(c0 * x + c1 * y + c2 * z for x, y, z in normals))
+                return (g,) if g > 1 else ()
+    return invariant_factors(IntMatrix.from_columns(diagram.normals))
+
+
 # --- goodness ----------------------------------------------------------------
 
 class GoodnessReport(Record):
@@ -375,13 +401,15 @@ def is_good(diagram: ToricDiagram, faces=None) -> GoodnessReport:
     over Z and span a saturated sublattice.  At rank 3 the faces are found
     automatically and only the edges are checked: a validated normal is
     primitive, so a facet's one normal always spans a saturated line.  Cost
-    at rank 3: `cone_skeleton` and one closed-form saturation test per
-    extreme ray.  At other ranks the caller supplies `faces` as index sets.
+    at rank 3: `cone_skeleton` (its edges' index sets, in the order of
+    `enumerate_faces_3d`, with no face list built) and one closed-form
+    saturation test per extreme ray.  At other ranks the caller supplies
+    `faces` as index sets.
     """
     if faces is None:
         if diagram.rank != 3:
             raise ValueError("supply a face list for ranks other than 3")
-        face_sets = [f.indices for f in enumerate_faces_3d(diagram) if f.kind == "edge"]
+        face_sets = [tuple(sorted(a)) for a in cone_skeleton(diagram).active]
     else:
         face_sets = [tuple(sorted(f)) for f in faces]
     for idxs in face_sets:

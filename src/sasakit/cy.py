@@ -137,7 +137,8 @@ def _map_normals(cof, normals):
 def kernel_lattice(diagram: ToricDiagram) -> KernelLattice:
     """Kernel basis (free columns of the diagram's elimination, built on first
     read; the rank is d minus its pivot count) and component group (its
-    `torsion`, the Smith diagonal `fundamental_group` reads too).
+    `torsion`, kept on the diagram and read by `fundamental_group` too: one
+    gcd pass over the normals at rank 3 when an edge is saturated).
 
     The normalized copy A^-T N of `normalize_height` is row-equivalent to N,
     so it has the same reduced rows, kernel basis and invariant factors.  Its

@@ -379,6 +379,9 @@ def _saturated(cols) -> bool:
         return vector_gcd(cols[0]) == 1
     if len(cols) == 2:
         a, b = cols
+        if len(a) == 3:  # the minors are the entries of the cross product, unrolled
+            (a0, a1, a2), (b0, b1, b2) = a, b
+            return gcd(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0) == 1
         g = 0
         for i in range(len(a)):
             for j in range(i + 1, len(a)):

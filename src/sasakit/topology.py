@@ -40,6 +40,9 @@ def fundamental_group(diagram: ToricDiagram) -> tuple[int, ...]:
     """Invariant factors of the ambient lattice modulo the normal span.
 
     Empty tuple means the manifold is simply connected.  Kept on the diagram.
+    At rank 3 a saturated edge of the skeleton reduces it to Z/g, g one gcd
+    over the normals (`cones.torsion`); only a diagram with no saturated
+    edge, where the group need not be cyclic, runs a Smith diagonal.
     """
     return torsion(diagram)
 

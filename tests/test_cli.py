@@ -16,10 +16,11 @@ from hypothesis import example, given, settings, strategies as st
 from sasakit import cli, cones, cy as cy_module, reeb
 from sasakit.cli import main
 from sasakit.cones import ToricDiagram
-from sasakit.cy import compute_gamma
+from sasakit.cy import compute_gamma, kernel_lattice
 from sasakit.errors import DiagramError, SasakitError
 from sasakit.reeb import MinimizationResult, minimize_volume, volume
 from sasakit.serialize import diagram_to_dict, dumps, format_float, load_diagram
+from sasakit.topology import topology_report
 from sasakit import lattice, lens, main4_even, main4_odd, non_cy, z5_lens
 
 from helpers import check_canonical_grid, random_sl3
@@ -358,6 +359,14 @@ def test_family_bad_parameters(tmp_path, capsys):
     assert code == 1
 
 
+def test_family_error_carries_the_tool_block(capsys):
+    # a missing option and a builder's own ValueError, like every other error
+    missing = {"error": "main4-even requires --r and --s", "tool": cli._tool_block()}
+    assert run(capsys, ["family", "main4-even", "--r", "2"]) == (1, dumps(missing))
+    code, out = run(capsys, ["family", "main4-odd", "--r", "0", "--s", "0"])
+    assert code == 1 and json.loads(out)["tool"] == cli._tool_block()
+
+
 def test_family_deterministic_bytes(capsys):
     a = run(capsys, ["family", "main4-odd", "--r", "2", "--s", "4"])[1]
     b = run(capsys, ["family", "main4-odd", "--r", "2", "--s", "4"])[1]
@@ -614,15 +623,15 @@ def _analyze_reeb(tmp_path, capsys, normals):
     assert code == 0
 
 
-def test_check_builds_one_face_list(tmp_path, capsys, monkeypatch):
-    # the face counts and the goodness verdict read one enumerate_faces_3d
+def test_check_builds_no_face_list(tmp_path, capsys, monkeypatch):
+    # the face counts and the goodness verdict read the skeleton's rays and
+    # edges: every normal is one facet, so no face list is built
     calls = _record(monkeypatch, cones, "enumerate_faces_3d")
-    monkeypatch.setattr(cli, "enumerate_faces_3d", cones.enumerate_faces_3d)
     not_good = [(1, 0, 0), (1, 2, 4), (1, 1, 4)]
     for exit_code, normals in ((0, main4_even(8, 3).normals), (2, not_good)):
-        calls.clear()
         code, _ = run(capsys, ["check", write_diagram(tmp_path, "d.json", normals)])
-        assert (code, len(calls)) == (exit_code, 1)
+        assert code == exit_code
+    assert calls == []
 
 
 def test_analyze_builds_one_reeb_frame(tmp_path, capsys, monkeypatch):
@@ -711,8 +720,10 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     assert "scan_points" in reused[0][1] and "scan_points" not in reused[1][1]
 
 
-def test_analyze_runs_one_smith_diagonal_of_the_normals(tmp_path, capsys, monkeypatch):
-    # pi1 and the kernel torus's component group read one diagonal kept on the diagram
+def test_smith_diagonal_runs_only_without_a_saturated_edge(tmp_path, capsys, monkeypatch):
+    # a good diagram's pi1 and kernel component group are Z/g off one saturated
+    # edge: analyze runs no diagonal.  A diagram with no saturated edge has a
+    # group that need not be cyclic, and both read one diagonal kept on it.
     shapes = []
     invariant_factors = lattice.invariant_factors
 
@@ -728,7 +739,11 @@ def test_analyze_runs_one_smith_diagonal_of_the_normals(tmp_path, capsys, monkey
     path = write_diagram(tmp_path, "m4.json", main4_even(8, 3).normals)
     code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
     assert code == 0
-    assert shapes == [(3, 19)]
+    assert shapes == []
+    no_saturated_edge = cones.validate_diagram([(1, 0, 0), (1, 2, 0), (1, 0, 2)])
+    assert topology_report(no_saturated_edge).pi1_invariant_factors == (2, 2)
+    assert kernel_lattice(no_saturated_edge).component_group == (2, 2)
+    assert shapes == [(3, 3)]
 
 
 def test_analyze_runs_one_elimination_of_the_normals(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from math import gcd
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings, strategies as st
+from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from sasakit import (
     DegenerateCone,
@@ -398,33 +399,97 @@ def test_not_good_non_saturated_edge():
 
 @settings(max_examples=150, deadline=None)
 @given(corpus(), st.booleans(), st.randoms(use_true_random=False))
+@example(validate_diagram(SQUARE_WITH_EDGE_NORMALS), False, random.Random(0))
+@example(validate_diagram([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)]), True, random.Random(1))
+@example(validate_diagram([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]), True, random.Random(2))
 def test_rank3_goodness_of_edges_is_goodness_of_all_faces(d, shear, rng):
+    # the skeleton's edges give the verdict and failing face of the face
+    # list's edges and of all its faces
     if shear:
         d = transform_normals(d, random_sl3(rng))
-    all_faces = [f.indices for f in enumerate_faces_3d(d) if f.nonempty]
-    assert is_good(d) == is_good(d, faces=all_faces)
+    faces = [f for f in enumerate_faces_3d(d) if f.nonempty]
+    edges = [f.indices for f in faces if f.kind == "edge"]
+    assert is_good(d) == is_good(d, faces=edges) == is_good(d, faces=[f.indices for f in faces])
 
 
 def test_skeleton_dot_products_are_linear_in_d(monkeypatch):
-    # the d = 641 parabola: one dot product per (ray, normal) pair would make
-    # h * d = 641**2 calls; its one non-primitive edge joins i = -320 and 320
+    # the d = 641 parabola with 320 normals (1, i, i^2 + 1) off its hull, each
+    # met by the rays of the edges it lies between: one dot product per
+    # (ray, normal) pair would make h * d = 641 * 961 calls.  The hull's turn
+    # tests call no _dot; each reads two normals past the one being added,
+    # so they are counted from the chains' reads, at most 2 per index each.
+    # Its one non-primitive edge joins i = -320 and 320.
     shear = IntMatrix.from_rows([[1, 0, 0], [3, 1, 0], [5, 7, 1]])
     plain = [(1, i, i * i) for i in range(-320, 321)]
-    dot = cones._dot
-    calls = []
+    plain += [(1, i, i * i + 1) for i in range(-319, 320, 2)]
+    dot, chain = cones._dot, cones._hull_chain
+    calls, turns = [], []
 
     def counted(a, b):
         calls.append(None)
         return dot(a, b)
 
+    class CountedReads:
+        def __init__(self, seq):
+            self.seq, self.reads = seq, 0
+
+        def __getitem__(self, i):
+            self.reads += 1
+            return self.seq[i]
+
+    def counted_chain(normals, order):
+        order, seen = list(order), CountedReads(normals)
+        out = chain(seen, order)
+        turns.append((seen.reads - len(order)) // 2)
+        return out
+
     for normals in (plain, [shear.mul_vector(v) for v in plain]):
         d = validate_diagram(normals)
         calls.clear()
+        turns.clear()
         monkeypatch.setattr(cones, "_dot", counted)
+        monkeypatch.setattr(cones, "_hull_chain", counted_chain)
         cone_skeleton(d)
         monkeypatch.undo()
-        assert 0 < len(calls) <= 10 * d.d
+        assert 320 <= len(calls) <= 10 * d.d
+        assert len(turns) == 2 and d.d <= sum(turns) <= 4 * d.d
         assert is_good(d).failing_face == (0, 640)
+
+
+def sympy_torsion(diagram):
+    factors = (abs(int(x)) for x in sympy_invariant_factors(sympy.Matrix(diagram.normals).T))
+    return tuple(x for x in factors if x != 1)
+
+
+NO_SATURATED_EDGE = [(1, 0, 0), (1, 2, 0), (1, 0, 2)]  # Z/2 x Z/2: not cyclic
+NOT_GOOD = [
+    [(1, 0, 0), (1, 2, 4), (1, 1, 4)],
+    [(1, 0, 0), (1, 2, 0), (0, 0, 1)],
+    [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)],
+    NO_SATURATED_EDGE,
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(
+            [lens(ell) for ell in range(1, 6)]
+            + [z5_lens(), octant(), non_cy(2), non_cy(3)]
+            + [main4_even(2, 1), main4_even(8, 3), main4_odd(3, 2), main4_odd(19, 4)]
+            + [validate_diagram(normals) for normals in NOT_GOOD]
+        ),
+        corpus(),
+    ),
+    st.booleans(),
+    st.randoms(use_true_random=False),
+)
+@example(validate_diagram(NO_SATURATED_EDGE), False, random.Random(0))
+@example(validate_diagram(NO_SATURATED_EDGE), True, random.Random(0))
+def test_torsion_matches_sympy_invariant_factors(d, shear, rng):
+    if shear:
+        d = transform_normals(d, random_sl3(rng))
+    assert cones.torsion(d) == sympy_torsion(d)
 
 
 def test_is_good_general_rank_with_supplied_faces():

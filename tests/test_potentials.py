@@ -3,7 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sasakit import (
     BoundaryOrOutside,
@@ -259,14 +259,9 @@ def test_bump_with_covector_derivatives():
 FAMILY = [octant(), lens(2), lens(5), z5_lens(), main4_even(2, 1), main4_odd(3, 2)]
 
 
-@st.composite
-def potentials_with_reference(draw):
-    """(potential, its per-term reference, an interior point) on a family
-    member or a shear of one: canonical, pairing-adapted, shifted by all
-    three extra terms, or a segment at a random t."""
-    d = draw(st.sampled_from(FAMILY))
-    if draw(st.booleans()):
-        d = transform_normals(d, random_sl3(draw(st.randoms(use_true_random=False))))
+def shifted_with_reference(d):
+    """xi, the xi-adapted potential shifted by all three extra terms, and its
+    per-term reference."""
     xi = tuple(a + b for a, b in zip(canonical_reeb(d), d.normals[0]))
     extras = [
         (0.7, RationalBump(0, 2, c=canonical_reeb(d))),
@@ -276,7 +271,27 @@ def potentials_with_reference(draw):
     shifted = canonical_xi_potential(d, xi)
     for coeff, extra in extras:
         shifted = shifted_potential(shifted, extra, coeff)
-    ref_shifted = LoopPotential(loop_canonical(d, xi).entropy, extras)
+    return xi, shifted, LoopPotential(loop_canonical(d, xi).entropy, extras)
+
+
+def segment_with_reference(d, t):
+    """The segment from the canonical potential to the shifted one at t, and its reference."""
+    _, shifted, ref_shifted = shifted_with_reference(d)
+    return (
+        geodesic_segment(canonical_potential(d), shifted, t),
+        loop_segment(loop_canonical(d), ref_shifted, t),
+    )
+
+
+@st.composite
+def potentials_with_reference(draw):
+    """(potential, its per-term reference, an interior point) on a family
+    member or a shear of one: canonical, pairing-adapted, shifted by all
+    three extra terms, or a segment at a random t."""
+    d = draw(st.sampled_from(FAMILY))
+    if draw(st.booleans()):
+        d = transform_normals(d, random_sl3(draw(st.randoms(use_true_random=False))))
+    xi, shifted, ref_shifted = shifted_with_reference(d)
     t = draw(st.floats(0.0, 1.0))
     pot, ref = draw(
         st.sampled_from(
@@ -284,10 +299,7 @@ def potentials_with_reference(draw):
                 (canonical_potential(d), loop_canonical(d)),
                 (canonical_xi_potential(d, xi), loop_canonical(d, xi)),
                 (shifted, ref_shifted),
-                (
-                    geodesic_segment(canonical_potential(d), shifted, t),
-                    loop_segment(loop_canonical(d), ref_shifted, t),
-                ),
+                segment_with_reference(d, t),
             ]
         )
     )
@@ -297,14 +309,21 @@ def potentials_with_reference(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(potentials_with_reference())
+# a subnormal t: the two Hessians then differ by one subnormal ulp
+@example((*segment_with_reference(octant(), 2.2250738585e-313),
+          np.array([0.61965332, 0.79379945, 0.51641353])))
 def test_kernel_matches_per_term_loops(case):
     pot, ref, y = case
+    # the standard rounding model with gradual underflow (Higham, ch. 2): a
+    # relative error per term, and an absolute one of at most a subnormal
+    # ulp per operation, a few of them in each of the n terms
+    underflow = 4 * (len(ref.entropy) + len(ref.extras)) * np.finfo(float).smallest_subnormal
     for got, want, size in zip(
         (pot.value(y), pot.grad(y), pot.hess(y)),
         (ref.value(y), ref.grad(y), ref.hess(y)),
         ref.sizes(y),
     ):
-        assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * size)
+        assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * size + underflow)
 
 
 def _count_calls(monkeypatch) -> Counter:
