@@ -187,9 +187,8 @@ def _emit_svg(diagram: ToricDiagram, path: str) -> None:
 
 def _write_grid_csv(diagram: ToricDiagram, n: int, path: str) -> int:
     """The canonical potential at n scalings 0.5 .. 1.5 of the interior sample,
-    as one stack of points; MemoryError when numpy cannot hold them."""
-    import csv  # only the two CSV writers need it: no cold start pays for it
-
+    as one stack of points; MemoryError when numpy cannot hold them.  Each row
+    is written as the csv module's default dialect would write these fields."""
     _load_potentials()
     with np.errstate(over="raise", invalid="raise", divide="raise"):
         pot = canonical_potential(diagram)
@@ -209,15 +208,15 @@ def _write_grid_csv(diagram: ToricDiagram, n: int, path: str) -> int:
         + [f"x{i + 1}" for i in range(m1)]
         + ["F", "roundtrip_residual"]
     )
+    row = ",".join([FLOAT_FORMAT] * len(header)) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([format_float(v) for v in row] for row in table.tolist())
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join([row % tuple(values) for values in table.tolist()]))
     return n
 
 
 def _write_scan_csv(diagram, result, directions, path) -> int:
-    import csv
+    import csv  # only --scan needs it: no cold start pays for it
 
     xi_star = result.xi.xi
     rows = 0

@@ -149,33 +149,44 @@ class SymplecticPotential(Record):
         """Whether y lies in the open domain, or whether each row of a stack does."""
         return np.all(np.asarray(y, dtype=float) @ self.forms.T > 0, axis=-1)
 
-    def _levels(self, y: np.ndarray) -> np.ndarray:
-        """The form values l = y @ forms.T, which must all be positive."""
+    def _levels(self, y: np.ndarray, strict: bool = True) -> np.ndarray:
+        """The form values l = y @ forms.T; strict, they must all be positive."""
         levels = y @ self.forms.T
-        if not np.all(levels > 0):
+        if strict and not np.all(levels > 0):
             raise BoundaryOrOutside("point is outside the domain of this potential")
         return levels
 
-    def value(self, y):
-        y = np.asarray(y, dtype=float)
-        levels = self._levels(y)
-        total = (levels * np.log(levels)) @ self.weights
+    # value, grad and hess from y's levels (and their logs), for callers that
+    # share one levels product and one log between them
+    def _value(self, y, levels, logs):
+        total = (levels * logs) @ self.weights
         return total + sum(c * g.value(y) for c, g in self.extras)
 
-    def grad(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        out = (self.weights * (np.log(self._levels(y)) + 1.0)) @ self.forms
+    def _grad(self, y, logs):
+        out = (self.weights * (logs + 1.0)) @ self.forms
         for c, g in self.extras:
             out += c * g.grad(y)
         return out
 
-    def hess(self, y) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        scaled = self.forms.T * (self.weights / self._levels(y))[..., None, :]
+    def _hess(self, y, levels):
+        scaled = self.forms.T * (self.weights / levels)[..., None, :]
         out = scaled @ self.forms
         for c, g in self.extras:
             out += c * g.hess(y)
         return out
+
+    def value(self, y):
+        y = np.asarray(y, dtype=float)
+        levels = self._levels(y)
+        return self._value(y, levels, np.log(levels))
+
+    def grad(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        return self._grad(y, np.log(self._levels(y)))
+
+    def hess(self, y) -> np.ndarray:
+        y = np.asarray(y, dtype=float)
+        return self._hess(y, self._levels(y))
 
 
 class PotentialSample(Record):
@@ -257,12 +268,18 @@ def geodesic_segment(
 
 
 def eval_potential(pot: SymplecticPotential, y) -> PotentialSample:
-    """G, its gradient x and Hessian, and F = <y, x> - G, at y or a stack of points."""
+    """G, its gradient x and Hessian, and F = <y, x> - G, at y or a stack of points.
+
+    One levels product and one log serve all three: each is the same
+    expression, bit for bit, as a separate value, grad or hess call.
+    """
     y = np.asarray(y, dtype=float)
-    G = pot.value(y)
-    grad = pot.grad(y)
+    levels = pot._levels(y)
+    logs = np.log(levels)
+    G = pot._value(y, levels, logs)
+    grad = pot._grad(y, logs)
     F = (y * grad).sum(axis=-1) - G
-    return PotentialSample(y=y, G=G, gradG=grad, hessG=pot.hess(y), F=F)
+    return PotentialSample(y=y, G=G, gradG=grad, hessG=pot._hess(y, levels), F=F)
 
 
 def eval_canonical(diagram: ToricDiagram, y) -> PotentialSample:
@@ -287,6 +304,25 @@ def legendre(pot, y=None) -> tuple[np.ndarray, np.ndarray]:
     return sample.x, sample.F
 
 
+def _row_norms(r: np.ndarray) -> np.ndarray:
+    """The Euclidean norm of each row; the same bits as np.linalg.norm(r, axis=1)."""
+    return np.sqrt((r * r).sum(axis=1))
+
+
+def _where(mask: np.ndarray):
+    """An index of mask's true entries, a full slice (no gather) when all are,
+    and their count."""
+    count = int(np.count_nonzero(mask))
+    return (slice(None) if count == mask.size else np.flatnonzero(mask)), count
+
+
+def _within(rows, sub):
+    """rows[sub] for the indices `_where` makes."""
+    if isinstance(rows, slice):
+        return sub
+    return rows if isinstance(sub, slice) else rows[sub]
+
+
 def invert_gradient(
     pot: SymplecticPotential,
     x,
@@ -300,36 +336,63 @@ def invert_gradient(
     rows step together, one batched solve per step, but each row stops on
     its own |grad G(y) - x| <= tol (1 + |x|) and takes the first step length
     of 1, 1/2, 1/4, ... that stays in the domain and lowers its residual.
+
+    Each step costs one Hessian and one batched solve over the rows still
+    searching, and each trial point one levels product, which serves both
+    its domain test and its gradient; an accepted point's levels then give
+    the next step's Hessian.  Only a row that is accepted alone out of
+    several, or searches on alone after searching with others, has its
+    levels taken again (see `lone` below).  When every row searches and
+    takes the full step, as most do, the rows are a slice and nothing is
+    gathered.
     """
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)
     if y0 is None:
         y0 = [float(v) for v in interior_point(pot.diagram)]
     ys = np.array(np.broadcast_to(np.asarray(y0, dtype=float), xs.shape))
-    scale = 1.0 + np.linalg.norm(xs, axis=1)
-    resid = pot.grad(ys) - xs
-    norms = np.linalg.norm(resid, axis=1)
+    scale = 1.0 + _row_norms(xs)
+    levels = pot._levels(ys)
+    # numpy multiplies a one-row stack as a vector, and the last bits can
+    # differ from the same row's in a taller product; so a row's levels are
+    # reused only in a product of their own kind (`lone` marks one-row ones),
+    # and every gradient and Hessian has the bits of grad or hess on its rows
+    lone = np.full(len(ys), len(ys) == 1)
+    resid = pot._grad(ys, np.log(levels)) - xs
+    norms = _row_norms(resid)
     for _ in range(max_iter):
-        rows = np.flatnonzero(norms > tol * scale)
-        if not rows.size:
+        rows, count = _where(norms > tol * scale)
+        if not count:
             break
-        step = np.linalg.solve(pot.hess(ys[rows]), -resid[rows, :, None])[..., 0]
+        if (lone[rows] != (count == 1)).any():
+            levels[rows], lone[rows] = pot._levels(ys[rows]), count == 1
+        step = np.linalg.solve(pot._hess(ys[rows], levels[rows]), -resid[rows, :, None])[..., 0]
         alpha = 1.0
-        while rows.size:  # rows still searching, and their steps
+        while True:  # rows still searching, and their steps
             if alpha <= 1e-16:
                 raise StencilOutsideDomain("gradient inversion stalled at the boundary")
             cand = ys[rows] + alpha * step
-            accept = pot.domain_contains(cand)
-            if accept.any():
-                inside, cand = rows[accept], cand[accept]
-                cand_resid = pot.grad(cand) - xs[inside]
-                cand_norms = np.linalg.norm(cand_resid, axis=1)
-                better = cand_norms < norms[inside]
-                done = inside[better]
-                ys[done], resid[done] = cand[better], cand_resid[better]
-                norms[done] = cand_norms[better]
-                accept[accept] = better
-                rows, step = rows[~accept], step[~accept]
+            cand_levels = pot._levels(cand, strict=False)
+            accept = np.all(cand_levels > 0, axis=1)
+            inside, count = _where(accept)
+            if count:
+                at = _within(rows, inside)
+                cand, cand_levels = cand[inside], cand_levels[inside]
+                if count == 1 < accept.size:
+                    cand_levels = pot._levels(cand)
+                cand_resid = pot._grad(cand, np.log(cand_levels)) - xs[at]
+                cand_norms = _row_norms(cand_resid)
+                # a row takes its trial point when it is inside and lowers the residual
+                better = cand_norms < norms[at]
+                done, _ = _where(better)
+                to = _within(at, done)
+                ys[to], levels[to], lone[to] = cand[done], cand_levels[done], count == 1
+                resid[to], norms[to] = cand_resid[done], cand_norms[done]
+                accept[inside] = better
+                if accept.all():
+                    break
+                rest = np.flatnonzero(~accept)
+                rows, step = _within(rows, rest), step[rest]
             alpha *= 0.5
     bad = norms > max(tol, 1e-8) * scale
     if bad.any():

@@ -19,7 +19,9 @@ from sasakit import (
     RedundantNormal,
     ReebVector,
     canonical_reeb,
+    StencilOutsideDomain,
     extreme_rays,
+    interior_point,
     reeb_cone_contains,
     truncated_polytope,
     validate_diagram,
@@ -534,3 +536,59 @@ def check_canonical_grid(normals, rows, digits=12):
             assert abs(x[t] - 0.5 * sum(terms)) <= tol, (f"x{t + 1}", y, x[t], 0.5 * sum(terms))
         want_F = 0.5 * sum(forms)
         assert abs(F - want_F) <= (printed + 1e-12) * want_F + 0.5 * sum(dls), ("F", y, F, want_F)
+
+
+def invert_gradient_oracle(
+    pot: SymplecticPotential,
+    x,
+    y0=None,
+    tol: float = 1e-12,
+    max_iter: int = 100,
+) -> np.ndarray:
+    """`sasakit.potentials.invert_gradient` as it was written before its rows
+    carried their levels: public grad, hess and domain_contains calls, and
+    index gathers and scatters at every step.  Kept verbatim as an oracle.
+
+    Solve grad G(y) = x by damped Newton, staying inside the domain.
+
+    x is one target (n,) or a stack (m, n), y0 one start or one per row.  The
+    rows step together, one batched solve per step, but each row stops on
+    its own |grad G(y) - x| <= tol (1 + |x|) and takes the first step length
+    of 1, 1/2, 1/4, ... that stays in the domain and lowers its residual.
+    """
+    x = np.asarray(x, dtype=float)
+    xs = np.atleast_2d(x)
+    if y0 is None:
+        y0 = [float(v) for v in interior_point(pot.diagram)]
+    ys = np.array(np.broadcast_to(np.asarray(y0, dtype=float), xs.shape))
+    scale = 1.0 + np.linalg.norm(xs, axis=1)
+    resid = pot.grad(ys) - xs
+    norms = np.linalg.norm(resid, axis=1)
+    for _ in range(max_iter):
+        rows = np.flatnonzero(norms > tol * scale)
+        if not rows.size:
+            break
+        step = np.linalg.solve(pot.hess(ys[rows]), -resid[rows, :, None])[..., 0]
+        alpha = 1.0
+        while rows.size:  # rows still searching, and their steps
+            if alpha <= 1e-16:
+                raise StencilOutsideDomain("gradient inversion stalled at the boundary")
+            cand = ys[rows] + alpha * step
+            accept = pot.domain_contains(cand)
+            if accept.any():
+                inside, cand = rows[accept], cand[accept]
+                cand_resid = pot.grad(cand) - xs[inside]
+                cand_norms = np.linalg.norm(cand_resid, axis=1)
+                better = cand_norms < norms[inside]
+                done = inside[better]
+                ys[done], resid[done] = cand[better], cand_resid[better]
+                norms[done] = cand_norms[better]
+                accept[accept] = better
+                rows, step = rows[~accept], step[~accept]
+            alpha *= 0.5
+    bad = norms > max(tol, 1e-8) * scale
+    if bad.any():
+        raise StencilOutsideDomain(
+            f"gradient inversion did not converge (residual {norms[bad].max():.3e})"
+        )
+    return ys if x.ndim > 1 else ys[0]

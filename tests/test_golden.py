@@ -1,9 +1,13 @@
-"""Golden stdout bytes and exit codes of `sasakit check` and `sasakit analyze`.
+"""Golden stdout bytes and exit codes of `sasakit check` and `sasakit analyze`,
+and golden bytes of the float potential outputs.
 
 Each file in tests/golden/ holds one input diagram with the exact stdout and
-exit code of `check` and of `analyze --cy --topo --reeb` on it.  The files
-pin the output bytes across refactors; regenerate them only for an intended
-change of output, with
+exit code of `check` and of `analyze --cy --topo --reeb` on it.  Each file in
+tests/golden_potentials/ holds one diagram with the exact stdout, exit code
+and grid CSV of `analyze --cy --topo --reeb --potential-grid 12`, and the
+exact stdout and exit code of `geodesic-test`.  The files pin the output
+bytes across refactors; regenerate them only for an intended change of
+output, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,11 +28,19 @@ from sasakit.cli import main
 from sasakit.serialize import dumps
 
 GOLDEN = Path(__file__).with_name("golden")
+GOLDEN_POTENTIALS = Path(__file__).with_name("golden_potentials")
 
 # subcommand -> flags after the input path
 COMMANDS = {
     "check": [],
     "analyze": ["--cy", "--topo", "--reeb"],
+}
+
+# the potential commands, run in the diagram's directory so that the grid's
+# relative path, and so the stdout that names it, is the same in every run
+POTENTIAL_COMMANDS = {
+    "analyze": ["--cy", "--topo", "--reeb", "--potential-grid", "12", "--grid-out", "grid.csv"],
+    "geodesic-test": [],
 }
 
 # a fixed element of SL(3, Z) acting on the normals
@@ -59,19 +71,48 @@ def _sheared(normals):
     return [tuple(sum(a * x for a, x in zip(row, v)) for row in SHEAR) for v in normals]
 
 
-def cases() -> dict:
-    base = _base_cases()
+def _with_shears(base: dict) -> dict:
     out = {name: [list(v) for v in normals] for name, normals in base.items()}
     for name, normals in base.items():
         out[f"{name}-sheared"] = [list(v) for v in _sheared(normals)]
     return out
 
 
-def run_command(path: Path, command: str) -> tuple[int, str]:
+def cases() -> dict:
+    return _with_shears(_base_cases())
+
+
+def potential_cases() -> dict:
+    base = _base_cases()
+    out = _with_shears({name: base[name] for name in ("lens2", "z5-lens", "main4-odd-3-2")})
+    # entry 48 of perfbench/small_d.json: a sheared main4-odd diagram, d = 10
+    out["small-d-48"] = [
+        [1, -2, 0], [1, -1, 1], [3, -4, 3], [7, -11, 6], [17, -30, 12],
+        [27, -54, 13], [33, -70, 12], [19, -41, 6], [11, -24, 3], [5, -11, 1],
+    ]
+    return out
+
+
+def run_command(path: Path, command: str, commands: dict = COMMANDS) -> tuple[int, str]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        code = main([command, str(path), *COMMANDS[command]])
+        code = main([command, str(path), *commands[command]])
     return code, buf.getvalue()
+
+
+def potential_record(directory: Path, normals) -> dict:
+    """Each potential command's exit and stdout, and the grid's bytes."""
+    path = directory / "diagram.json"
+    path.write_text(dumps({"rank": 3, "normals": normals}))
+    record = {"normals": normals}
+    with contextlib.chdir(directory):
+        for command in POTENTIAL_COMMANDS:
+            code, out = run_command(path, command, POTENTIAL_COMMANDS)
+            record[command] = {"exit": code, "stdout": out}
+    grid = directory / "grid.csv"
+    record["analyze"]["csv"] = grid.read_bytes().decode("utf-8")
+    grid.unlink()
+    return record
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -86,6 +127,18 @@ def test_golden_bytes(name, command, tmp_path, monkeypatch):
     assert out == golden[command]["stdout"]
 
 
+@pytest.mark.parametrize("name", sorted(potential_cases()))
+def test_golden_potential_bytes(name, tmp_path, monkeypatch):
+    monkeypatch.delenv("SASAKIT_SEED", raising=False)
+    path = GOLDEN_POTENTIALS / f"{name}.json"
+    golden = json.loads(path.read_text(encoding="utf-8"))
+    assert potential_record(tmp_path, golden["normals"]) == golden
+
+
+def _write(path: Path, record: dict) -> None:
+    path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+
+
 def regenerate(tmp: Path) -> None:
     os.environ.pop("SASAKIT_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
@@ -96,9 +149,10 @@ def regenerate(tmp: Path) -> None:
         for command in COMMANDS:
             code, out = run_command(path, command)
             record[command] = {"exit": code, "stdout": out}
-        (GOLDEN / f"{name}.json").write_text(
-            json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write(GOLDEN / f"{name}.json", record)
+    GOLDEN_POTENTIALS.mkdir(exist_ok=True)
+    for name, normals in potential_cases().items():
+        _write(GOLDEN_POTENTIALS / f"{name}.json", potential_record(tmp, normals))
 
 
 if __name__ == "__main__":

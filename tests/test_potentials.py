@@ -17,6 +17,7 @@ from sasakit import (
     canonical_xi_potential,
     eval_canonical,
     eval_canonical_xi,
+    extreme_rays,
     geodesic_equation_residual,
     geodesic_segment,
     invert_gradient,
@@ -31,6 +32,7 @@ from sasakit import (
 from sasakit.potentials import (
     SymplecticPotential,
     dual_hessian_fd,
+    eval_potential,
     hessian_identity_error,
     reeb_invariance_residual,
 )
@@ -39,6 +41,7 @@ from helpers import (
     LoopPotential,
     OnesBump,
     interior_points,
+    invert_gradient_oracle,
     loop_canonical,
     loop_segment,
     octant,
@@ -326,20 +329,26 @@ def test_kernel_matches_per_term_loops(case):
         assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * size + underflow)
 
 
-def _count_calls(monkeypatch) -> Counter:
-    """Count value, grad and hess calls, and trial points found inside the domain."""
+def _count_calls(monkeypatch, points=None) -> Counter:
+    """Count levels products (and those whose every row is inside the domain),
+    and the value, gradient and Hessian kernels and public methods; append
+    each levels product's points, as a tuple, to `points`."""
     calls = Counter()
 
     def counted(name, fn):
-        def wrapper(self, y):
-            result = fn(self, y)
-            if name != "domain_contains" or result:
-                calls[name] += 1
+        def wrapper(self, y, *args, **kwargs):
+            result = fn(self, y, *args, **kwargs)
+            calls[name] += 1
+            if name == "_levels":
+                calls["inside"] += bool(np.all(result > 0))
+                if points is not None:
+                    points.append(tuple(np.ravel(y)))
             return result
 
         return wrapper
 
-    for name in ("value", "grad", "hess", "domain_contains"):
+    names = ("_levels", "_value", "_grad", "_hess", "value", "grad", "hess", "domain_contains")
+    for name in names:
         fn = getattr(SymplecticPotential, name)
         monkeypatch.setattr(SymplecticPotential, name, counted(name, fn))
     return calls
@@ -350,19 +359,136 @@ def test_newton_evaluates_one_gradient_per_trial_point(monkeypatch):
     pot = canonical_xi_potential(d, (2, 2, 3))
     points = interior_points(d, 5, seed=41)
     targets = [pot.grad(y) for y in points]
-    calls = _count_calls(monkeypatch)
+    trials = []
+    calls = _count_calls(monkeypatch, trials)
     for y, x in zip(points, targets):
         calls.clear()
+        trials.clear()
         invert_gradient(pot, x, y0=y * 1.1)
         newton = dict(calls)
-        # the start, then each trial point inside the domain; one Hessian per step
-        assert newton["grad"] == 1 + newton["domain_contains"]
-        assert 1 <= newton["hess"] <= newton["domain_contains"]
-        assert "value" not in newton
+        # one levels product for the start and one per trial point, never two
+        # for one point (the Hessian reads the accepted point's); one gradient
+        # for the start and one per trial point inside the domain; one
+        # Hessian per step, and each step ends on a point inside
+        assert len(set(trials)) == len(trials) == newton["_levels"]
+        assert newton["_grad"] == newton["inside"] <= newton["_levels"]
+        assert 1 <= newton["_hess"] <= newton["inside"] - 1
+        assert newton.keys() == {"_levels", "inside", "_grad", "_hess"}
         calls.clear()
+        trials.clear()
         legendre_roundtrip_error(pot, y)
-        # the round trip adds one gradient to the same solve, and no value or Hessian
-        assert dict(calls) == {**newton, "grad": newton["grad"] + 1}
+        # the round trip adds one gradient (with its levels) to the same solve,
+        # and no value or Hessian
+        extra = {"grad": 1, "_levels": 1, "inside": 1, "_grad": 1}
+        assert dict(calls) == {**newton, **{k: newton.get(k, 0) + v for k, v in extra.items()}}
+
+
+def test_newton_trial_points_outside_the_domain_take_no_gradient(monkeypatch):
+    # the octant from far out along one axis: the full Newton step leaves it
+    pot = canonical_potential(octant())
+    x = pot.grad(np.array([1.0, 1.0, 1.0]))
+    calls = _count_calls(monkeypatch)
+    invert_gradient(pot, x, y0=[50.0, 1.0, 1.0])
+    assert calls["_levels"] > calls["inside"] == calls["_grad"]
+
+
+def test_eval_potential_takes_one_levels_product_and_one_log(monkeypatch):
+    d = main4_odd(3, 2)
+    pot = shifted_potential(canonical_potential(d), RationalBump(d.normals[0], d.normals[1]))
+    ys = np.array(interior_points(d, 4, seed=7))
+    calls = _count_calls(monkeypatch)
+    logs = Counter()
+    log = np.log
+
+    def counted_log(*args, **kwargs):
+        logs["log"] += 1
+        return log(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log", counted_log)
+    eval_potential(pot, ys)
+    assert dict(calls) == {"_levels": 1, "inside": 1, "_value": 1, "_grad": 1, "_hess": 1}
+    assert logs == {"log": 1}
+
+
+def _inversion_potentials(d):
+    """The canonical and a pairing-adapted potential of d, bare or shifted by
+    one extra term of each kind."""
+    xi = tuple(a + b for a, b in zip(canonical_reeb(d), d.normals[0]))
+    extras = [
+        (0.7, RationalBump(d.normals[0], d.normals[1], c=canonical_reeb(d))),
+        (0.4, RationalBump(0, 2)),
+        (-0.3, QuadraticCoordinate(1)),
+        (1.5, LinearTerm([0.2, -0.4, 0.9], 0.3)),
+    ]
+    bases = [canonical_potential(d), canonical_xi_potential(d, xi)]
+    return bases + [shifted_potential(b, g, c) for b in bases for c, g in extras]
+
+
+@st.composite
+def inversion_stacks(draw):
+    """(potential, targets, starts, tol, max_iter) on a family member or a
+    shear of one, for a stack of rows or one point.  Each row's start is its answer (converged at the start),
+    a scaling of it by 1/20 .. 30 (full steps that leave the domain, or that
+    must backtrack), or a point near an extreme ray, on the boundary's edge.
+    tol = 0 leaves every row searching at the rounding floor, where no step
+    lowers the residual and the line search stalls; a few steps leave rows
+    unconverged."""
+    d = draw(st.sampled_from(FAMILY))
+    if draw(st.booleans()):
+        d = transform_normals(d, random_sl3(draw(st.randoms(use_true_random=False))))
+    pot = draw(st.sampled_from(_inversion_potentials(d)))
+    m = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**16))
+    answers = np.array(interior_points(d, m, seed=seed))
+    rays = extreme_rays(d)
+    starts = []
+    for y in answers:
+        kind = draw(st.sampled_from(["answer", "scaled", "ray"]))
+        if kind == "answer":
+            starts.append(y)
+        elif kind == "scaled":
+            starts.append(y * draw(st.sampled_from([0.05, 0.3, 2.0, 7.0, 30.0])))
+        else:
+            ray = np.array(draw(st.sampled_from(rays)), dtype=float)
+            starts.append(ray + draw(st.sampled_from([1e-3, 1e-2, 0.2])) * y)
+    targets, starts = pot.grad(answers), np.array(starts)
+    if m == 1 and draw(st.booleans()):  # one point, not a stack of one
+        targets, starts = targets[0], starts[0]
+    tol = draw(st.sampled_from([1e-12, 1e-13, 0.0]))
+    max_iter = draw(st.sampled_from([100, 100, 4]))
+    return pot, targets, starts, tol, max_iter
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(inversion_stacks())
+def test_inversion_matches_the_oracle_bit_for_bit(case):
+    pot, targets, starts, tol, max_iter = case
+    kwargs = dict(y0=starts, tol=tol, max_iter=max_iter)
+    with np.errstate(all="ignore"):
+        got = _outcome(invert_gradient, pot, targets, **kwargs)
+        want = _outcome(invert_gradient_oracle, pot, targets, **kwargs)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray) and np.array_equal(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(potentials_with_reference())
+def test_eval_potential_is_separate_value_grad_hess(case):
+    pot, _, y = case
+    for ys in (y, np.array([y, 1.5 * y, 0.7 * y])):
+        sample = eval_potential(pot, ys)
+        assert np.array_equal(sample.G, pot.value(ys))
+        assert np.array_equal(sample.x, pot.grad(ys))
+        assert np.array_equal(sample.hessG, pot.hess(ys))
 
 
 @st.composite
