@@ -339,12 +339,11 @@ def invert_gradient(
 
     Each step costs one Hessian and one batched solve over the rows still
     searching, and each trial point one levels product, which serves both
-    its domain test and its gradient; an accepted point's levels then give
-    the next step's Hessian.  Only a row that is accepted alone out of
-    several, or searches on alone after searching with others, has its
-    levels taken again (see `lone` below).  When every row searches and
-    takes the full step, as most do, the rows are a slice and nothing is
-    gathered.
+    its domain test and its gradient (when only some trial points are
+    inside, their gradient takes its levels again over its own rows).  Rows
+    are indexed by a slice, with nothing gathered, while all of them are
+    searching, inside or accepted, as in every step of the potential grids
+    of perfbench's analyze-small-d.
     """
     x = np.asarray(x, dtype=float)
     xs = np.atleast_2d(x)
@@ -352,42 +351,37 @@ def invert_gradient(
         y0 = [float(v) for v in interior_point(pot.diagram)]
     ys = np.array(np.broadcast_to(np.asarray(y0, dtype=float), xs.shape))
     scale = 1.0 + _row_norms(xs)
-    levels = pot._levels(ys)
-    # numpy multiplies a one-row stack as a vector, and the last bits can
-    # differ from the same row's in a taller product; so a row's levels are
-    # reused only in a product of their own kind (`lone` marks one-row ones),
-    # and every gradient and Hessian has the bits of grad or hess on its rows
-    lone = np.full(len(ys), len(ys) == 1)
-    resid = pot._grad(ys, np.log(levels)) - xs
+    resid = pot.grad(ys) - xs
     norms = _row_norms(resid)
     for _ in range(max_iter):
         rows, count = _where(norms > tol * scale)
         if not count:
             break
-        if (lone[rows] != (count == 1)).any():
-            levels[rows], lone[rows] = pot._levels(ys[rows]), count == 1
-        step = np.linalg.solve(pot._hess(ys[rows], levels[rows]), -resid[rows, :, None])[..., 0]
+        step = np.linalg.solve(pot.hess(ys[rows]), -resid[rows, :, None])[..., 0]
         alpha = 1.0
         while True:  # rows still searching, and their steps
             if alpha <= 1e-16:
                 raise StencilOutsideDomain("gradient inversion stalled at the boundary")
             cand = ys[rows] + alpha * step
-            cand_levels = pot._levels(cand, strict=False)
-            accept = np.all(cand_levels > 0, axis=1)
+            levels = pot._levels(cand, strict=False)
+            accept = np.all(levels > 0, axis=1)
             inside, count = _where(accept)
             if count:
                 at = _within(rows, inside)
-                cand, cand_levels = cand[inside], cand_levels[inside]
-                if count == 1 < accept.size:
-                    cand_levels = pot._levels(cand)
-                cand_resid = pot._grad(cand, np.log(cand_levels)) - xs[at]
+                if count < accept.size:
+                    # a product's rows need not have the same bits in a stack
+                    # of another height (one row is multiplied as a vector,
+                    # and its last bits differ), so the gradient of the rows
+                    # inside takes its levels over them alone, as grad would
+                    cand = cand[inside]
+                    levels = pot._levels(cand)
+                cand_resid = pot._grad(cand, np.log(levels)) - xs[at]
                 cand_norms = _row_norms(cand_resid)
                 # a row takes its trial point when it is inside and lowers the residual
                 better = cand_norms < norms[at]
                 done, _ = _where(better)
                 to = _within(at, done)
-                ys[to], levels[to], lone[to] = cand[done], cand_levels[done], count == 1
-                resid[to], norms[to] = cand_resid[done], cand_norms[done]
+                ys[to], resid[to], norms[to] = cand[done], cand_resid[done], cand_norms[done]
                 accept[inside] = better
                 if accept.all():
                     break

@@ -545,9 +545,10 @@ def invert_gradient_oracle(
     tol: float = 1e-12,
     max_iter: int = 100,
 ) -> np.ndarray:
-    """`sasakit.potentials.invert_gradient` as it was written before its rows
-    carried their levels: public grad, hess and domain_contains calls, and
-    index gathers and scatters at every step.  Kept verbatim as an oracle.
+    """`sasakit.potentials.invert_gradient` as it was written before a trial
+    point's levels served its gradient: public grad, hess and domain_contains
+    calls, and index gathers and scatters at every step.  Kept verbatim as an
+    oracle.
 
     Solve grad G(y) = x by damped Newton, staying inside the domain.
 

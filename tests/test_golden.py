@@ -105,10 +105,14 @@ def potential_record(directory: Path, normals) -> dict:
     path = directory / "diagram.json"
     path.write_text(dumps({"rank": 3, "normals": normals}))
     record = {"normals": normals}
-    with contextlib.chdir(directory):
+    old = os.getcwd()
+    os.chdir(directory)  # contextlib.chdir needs Python 3.11
+    try:
         for command in POTENTIAL_COMMANDS:
             code, out = run_command(path, command, POTENTIAL_COMMANDS)
             record[command] = {"exit": code, "stdout": out}
+    finally:
+        os.chdir(old)
     grid = directory / "grid.csv"
     record["analyze"]["csv"] = grid.read_bytes().decode("utf-8")
     grid.unlink()
