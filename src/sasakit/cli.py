@@ -297,8 +297,12 @@ def cmd_analyze(args) -> int:
                 "error": "no toric diagram structure; c1(D) = 0 fails"
             }
             return _emit(out, EXIT_NO_CY, t_start)
+        seed = os.environ.get("SASAKIT_SEED", "0")
         try:
-            rng = random.Random(int(os.environ.get("SASAKIT_SEED", "0")))
+            rng = random.Random(int(seed))
+        except ValueError:
+            return _fail(f"SASAKIT_SEED must be an integer, got {seed!r}", EXIT_INPUT, t_start)
+        try:
             base = minimize_volume(diagram, cy)
             offsets = [[rng.uniform(-0.5, 0.5) for _ in range(diagram.rank - 1)] for _ in range(2)]
             restarts = [minimize_volume(diagram, cy, start_offset=o) for o in offsets]

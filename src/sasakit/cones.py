@@ -31,7 +31,6 @@ from .lattice import (
     IntVector,
     Record,
     _as_int_vector,
-    _primitive,
     _saturated,
     invariant_factors,
     rref,
@@ -276,7 +275,9 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     sort of integer chart keys (Fractions without a height covector), at
     most 4d integer det3 tests for the hull (`_hull_chain`), and for each
     normal off the hull two bisections and at most four integer dot products
-    with rays.
+    with rays.  Each edge's ray is lambda_i x lambda_j divided by its gcd,
+    and those gcds stay on the diagram (`_edge_gcds`), in cycle order, for
+    `is_good` and `torsion`.
     """
     if diagram.rank != 3:
         raise ValueError("face enumeration is implemented for rank 3 only")
@@ -297,7 +298,10 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     facet_cycle = hull[first:] + hull[:first]
     # rays[i] is shared by facet_cycle[i] and facet_cycle[i+1]
     pairs = list(zip(facet_cycle, facet_cycle[1:] + facet_cycle[:1]))
-    rays = [_primitive(_cross(normals[i], normals[j])) for i, j in pairs]
+    crosses = [_cross(normals[i], normals[j]) for i, j in pairs]
+    # adjacent hull vertices are distinct primitive normals, never parallel: g > 0
+    gcds = diagram.__dict__["_edge_gcds"] = tuple(gcd(*c) for c in crosses)
+    rays = [(x // g, y // g, z // g) for (x, y, z), g in zip(crosses, gcds)]
     active = [set(pair) for pair in pairs]
     # Both chains are monotone in the chart's x, so a normal off the hull can
     # lie only on the edges of each chain whose x-range holds its own x: at
@@ -363,18 +367,17 @@ def torsion(diagram: ToricDiagram) -> IntVector:
     At rank 3, an edge of the facet cycle whose c = lambda_i x lambda_j is
     primitive decides it in O(d): <c, .> maps Z^3 onto Z with kernel the
     saturated span(lambda_i, lambda_j), so the quotient is Z/g with
-    g = gcd_k <c, lambda_k>.  Every good diagram has such an edge.  Without
-    one the group need not be cyclic ((1,0,0), (1,2,0), (1,0,2) gives
-    Z/2 x Z/2), and the transform-free Smith diagonal of the normals decides,
-    as it does at other ranks.
+    g = gcd_k <c, lambda_k>.  Every good diagram has such an edge; the first
+    is the first whose gcd `cone_skeleton` kept is 1, and its ray is c.
+    Without one the group need not be cyclic ((1,0,0), (1,2,0), (1,0,2)
+    gives Z/2 x Z/2), and the transform-free Smith diagonal of the normals
+    decides, as it does at other ranks.
     """
     if diagram.rank == 3:
-        normals = diagram.normals
-        cycle = cone_skeleton(diagram).facet_cycle
-        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-            if _saturated((normals[i], normals[j])):
-                c0, c1, c2 = _cross(normals[i], normals[j])
-                g = gcd(*(c0 * x + c1 * y + c2 * z for x, y, z in normals))
+        rays = cone_skeleton(diagram).rays
+        for (c0, c1, c2), edge_gcd in zip(rays, diagram.__dict__["_edge_gcds"]):
+            if edge_gcd == 1:
+                g = gcd(*(c0 * x + c1 * y + c2 * z for x, y, z in diagram.normals))
                 return (g,) if g > 1 else ()
     return invariant_factors(IntMatrix.from_columns(diagram.normals))
 
@@ -402,18 +405,25 @@ def is_good(diagram: ToricDiagram, faces=None) -> GoodnessReport:
     automatically and only the edges are checked: a validated normal is
     primitive, so a facet's one normal always spans a saturated line.  Cost
     at rank 3: `cone_skeleton` (its edges' index sets, in the order of
-    `enumerate_faces_3d`, with no face list built) and one closed-form
-    saturation test per extreme ray.  At other ranks the caller supplies
-    `faces` as index sets.
+    `enumerate_faces_3d`, with no face list built) and no arithmetic for an
+    edge of two normals, which is saturated iff the gcd of their cross
+    product, kept by `cone_skeleton`, is 1.  An edge of more normals takes
+    one `_saturated` test.  The first failing edge in facet-cycle order is
+    reported, whatever its size.  At other ranks the caller supplies `faces`
+    as index sets.
     """
     if faces is None:
         if diagram.rank != 3:
             raise ValueError("supply a face list for ranks other than 3")
-        face_sets = [tuple(sorted(a)) for a in cone_skeleton(diagram).active]
+        edges = zip(cone_skeleton(diagram).active, diagram.__dict__["_edge_gcds"])
+        # a two-normal edge is saturated iff its kept gcd is 1: keep those that
+        # are not, which fail untested, and the larger edges, in cycle order
+        face_sets = [tuple(sorted(a)) for a, g in edges if len(a) > 2 or g != 1]
     else:
         face_sets = [tuple(sorted(f)) for f in faces]
     for idxs in face_sets:
-        if not _saturated([diagram.normals[i] for i in idxs]):
+        known_failure = faces is None and len(idxs) == 2
+        if known_failure or not _saturated([diagram.normals[i] for i in idxs]):
             return GoodnessReport(
                 good=False,
                 failing_face=idxs,

@@ -53,9 +53,10 @@ class Record:
 
 
 def _as_int_vector(v) -> IntVector:
-    out = tuple(int(x) for x in v)
-    if any(x != y for x, y in zip(out, v)):
-        raise ValueError(f"non-integer entry in {tuple(v)}")
+    v = tuple(v)
+    out = tuple(map(int, v))
+    if out != v:
+        raise ValueError(f"non-integer entry in {v}")
     return out
 
 
@@ -309,11 +310,7 @@ def is_primitive(v) -> bool:
 
 
 def make_primitive(v) -> IntVector:
-    return _primitive(_as_int_vector(v))
-
-
-def _primitive(v: IntVector) -> IntVector:
-    """make_primitive of an already checked integer vector."""
+    v = _as_int_vector(v)
     g = vector_gcd(v)
     if g == 0:
         raise ValueError("zero vector")
@@ -328,7 +325,8 @@ def complete_to_unimodular(v) -> IntMatrix:
     A is the row transform of one Euclid pass on the column v (the Smith
     pivot loop of `_diagonalize`: a single column takes no column
     operations), with row 0 negated to send v to -e_1 and, if that leaves
-    det -1, row 1 negated too.  Its certificate is A v = -e_1 and det A = 1.
+    det -1, row 1 negated too.  Its certificate is A v = -e_1 and one
+    determinant of +-1 before that second negation, which makes it 1.
     """
     v = _as_int_vector(v)
     n = len(v)
@@ -340,12 +338,11 @@ def complete_to_unimodular(v) -> IntMatrix:
     a = [[int(i == j) for j in range(n)] for i in range(n)]
     _diagonalize(column, a)  # leaves a v = column = (1, 0, ..., 0)
     a[0] = [-x for x in a[0]]
-    A = IntMatrix(n, n, tuple(map(tuple, a)))
-    if A.det() == -1:
+    det = IntMatrix(n, n, tuple(map(tuple, a))).det()
+    if det == -1:  # negating a row flips det -1 to 1: no second determinant
         a[1] = [-x for x in a[1]]
-        A = IntMatrix(n, n, tuple(map(tuple, a)))
-    assert A.det() == 1
-    assert A.mul_vector(v) == (-1,) + (0,) * (n - 1)
+    A = IntMatrix(n, n, tuple(map(tuple, a)))
+    assert det in (1, -1) and A.mul_vector(v) == (-1,) + (0,) * (n - 1)
     return A
 
 

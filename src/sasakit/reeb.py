@@ -102,6 +102,12 @@ class MinimizationResult(Record):
         d["iterations"], d["converged"] = iterations, converged
 
 
+def _round_div(a: int, b: int) -> int:
+    """round(Fraction(a, b)) for b > 0, in ints: the nearest integer, ties to even."""
+    q, r = divmod(a, b)
+    return q + (2 * r > b or (2 * r == b and q % 2 == 1))
+
+
 def _reduced_basis(a, b, c):
     """Lagrange-Gauss: a det +1 basis (u, v) of Z^2 reduced for a x^2 + 2b xy + c y^2."""
 
@@ -110,7 +116,7 @@ def _reduced_basis(a, b, c):
 
     u, v = sorted([(1, 0), (0, 1)], key=lambda w: bil(w, w))
     while True:
-        m = round(Fraction(bil(u, v), bil(u, u)))
+        m = _round_div(bil(u, v), bil(u, u))  # bil(u, u) > 0: the form is definite
         v = (v[0] - m * u[0], v[1] - m * u[1])
         if bil(v, v) >= bil(u, u):
             break
@@ -131,7 +137,9 @@ def _reduced_frame(diagram: ToricDiagram):
     mapped cycle normals.  Returns the rays as floats (3l r_1, r_2, r_3),
     the fan determinants, the canonical start (3/d) sum of the normals as
     (3l, x, y), N^-1 (maps xi back, keeping every pairing) and N^T (maps
-    covectors back).  Built once per diagram, from its own height data.
+    covectors back).  Built once per diagram, from its own height data, in
+    plain ints: no Fraction (`_round_div` rounds), N^-1 = A^T M^-1 as one
+    3 x 3 product and each fan determinant as one integer expression.
     """
     cy = compute_gamma(diagram)
     ell = cy.height
@@ -144,16 +152,23 @@ def _reduced_frame(diagram: ToricDiagram):
         n * sum(p * q for p, q in pts) - sp * sq,
         n * sum(q * q for _, q in pts) - sq * sq,
     )
-    a, b = -round(Fraction(p * sp + q * sq, n * ell)), -round(Fraction(r * sp + s * sq, n * ell))
-    m_inv = [[1, 0, 0], [q * b - s * a, s, -q], [r * a - p * b, -r, p]]
-    back = A.transpose() @ IntMatrix.from_rows(m_inv)
+    a, b = -_round_div(p * sp + q * sq, n * ell), -_round_div(r * sp + s * sq, n * ell)
+    # back = A^T M^-1, M^-1 = [[1, 0, 0], [e, s, -q], [f, -r, p]], one row per column of A
+    e, f = q * b - s * a, r * a - p * b
+    back = IntMatrix(3, 3, tuple(
+        (x + e * y + f * z, s * y - r * z, p * z - q * y) for x, y, z in zip(*A.entries)
+    ))
     b0, b1, b2 = back.entries
     cov = (_cross(b1, b2), _cross(b2, b0), _cross(b0, b1))  # cof(N^-1) = N^T
     normals = [
         (ell, a * ell + p * u + q * w, b * ell + r * u + s * w) for _, u, w in normalized.normals
     ]
     rays = [_cross(normals[i], normals[j]) for i, j in zip(cycle, cycle[1:] + cycle[:1])]
-    dets = [float(_dot(rays[0], _cross(rays[j], rays[j + 1]))) for j in range(1, len(rays) - 1)]
+    x0, y0, z0 = rays[0]
+    dets = [  # det(r_0, r_j, r_j+1), exact
+        float(x0 * (y1 * z2 - z1 * y2) + y0 * (z1 * x2 - x1 * z2) + z0 * (x1 * y2 - y1 * x2))
+        for (x1, y1, z1), (x2, y2, z2) in zip(rays[1:-1], rays[2:])
+    ]
     start = tuple(3 * sum(col) / diagram.d for col in zip(*normals))
     floats = [(float(3 * ell * r1), float(r2), float(r3)) for r1, r2, r3 in rays]
     return floats, dets, start, back, cov

@@ -68,10 +68,11 @@ def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
     normals = data["normals"]
     if not isinstance(normals, list) or not all(isinstance(row, list) for row in normals):
         raise DiagramError('"normals" must be a list of integer lists')
-    for row in normals:
-        for x in row:
-            if not _is_int(x):
-                raise DiagramError(f"normal entries must be exact integers, got {x!r}")
+    if not all(type(x) is int for row in normals for x in row):  # one pass for JSON's ints
+        for row in normals:
+            for x in row:
+                if not _is_int(x):
+                    raise DiagramError(f"normal entries must be exact integers, got {x!r}")
     rank = data.get("rank")
     if rank is not None and not _is_int(rank):
         raise DiagramError(f'"rank" must be an integer, got {rank!r}')
@@ -98,7 +99,11 @@ def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
 
 def load_diagram(path: str) -> tuple[ToricDiagram, CalabiYauData | None]:
     with open(path, "r", encoding="utf-8") as fh:
-        return diagram_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except RecursionError:
+            raise DiagramError("diagram JSON is nested too deeply to parse") from None
+    return diagram_from_dict(data)
 
 
 def dumps(obj) -> str:

@@ -26,7 +26,8 @@ from sasakit import (
     truncated_polytope,
     validate_diagram,
 )
-from sasakit.cones import ConeSkeleton, ToricDiagram, _cross, _dot, _fm_feasible
+from sasakit.cones import ConeSkeleton, ToricDiagram, _cross, _dot, _fm_feasible, cone_skeleton
+from sasakit.cy import compute_gamma, normalize_height
 from sasakit.lattice import (
     IntMatrix,
     IntVector,
@@ -357,6 +358,69 @@ def volume_gradient(diagram: ToricDiagram, xi: np.ndarray):
         val += term
         grad -= term * u
     return val / 6.0, grad / 6.0
+
+
+def reduced_basis_oracle(a, b, c):
+    """`sasakit.reeb._reduced_basis` as it was written with Fraction rounding,
+    kept verbatim as an oracle.
+
+    Lagrange-Gauss: a det +1 basis (u, v) of Z^2 reduced for a x^2 + 2b xy + c y^2."""
+
+    def bil(w, z):
+        return a * w[0] * z[0] + b * (w[0] * z[1] + w[1] * z[0]) + c * w[1] * z[1]
+
+    u, v = sorted([(1, 0), (0, 1)], key=lambda w: bil(w, w))
+    while True:
+        m = round(Fraction(bil(u, v), bil(u, u)))
+        v = (v[0] - m * u[0], v[1] - m * u[1])
+        if bil(v, v) >= bil(u, u):
+            break
+        u, v = v, u
+    # det -1 would reverse the facet cycle and turn every ray outward
+    return (u, v) if u[0] * v[1] > u[1] * v[0] else (u, (-v[0], -v[1]))
+
+
+def reduced_frame_oracle(diagram: ToricDiagram):
+    """`sasakit.reeb._reduced_frame` as it was written with Fraction rounding,
+    an `IntMatrix` product for N^-1 and a cross product per fan determinant,
+    kept verbatim (not kept on the diagram) as an oracle.
+
+    The slice problem in an exact lattice basis where the height polygon is small.
+
+    normalize_height's A makes every normal (l, p, q), so the slice is
+    b_1 = 3l.  M = [[1,0,0],[a,p,q],[b,r,s]] keeps that: its block is the
+    Lagrange-Gauss basis of the facet cycle's integer (p, q) second-moment
+    form, and (a, b) recentres the points by integer multiples of l.  The
+    normals map by N = M A^-T, the rays by N^-T: cross products of the
+    mapped cycle normals.  Returns the rays as floats (3l r_1, r_2, r_3),
+    the fan determinants, the canonical start (3/d) sum of the normals as
+    (3l, x, y), N^-1 (maps xi back, keeping every pairing) and N^T (maps
+    covectors back).  Built once per diagram, from its own height data.
+    """
+    cy = compute_gamma(diagram)
+    ell = cy.height
+    A, normalized = normalize_height(diagram, cy)
+    cycle = cone_skeleton(diagram).facet_cycle
+    pts = [normalized.normals[i][1:] for i in cycle]
+    n, sp, sq = len(pts), sum(p for p, _ in pts), sum(q for _, q in pts)
+    (p, q), (r, s) = reduced_basis_oracle(
+        n * sum(p * p for p, _ in pts) - sp * sp,
+        n * sum(p * q for p, q in pts) - sp * sq,
+        n * sum(q * q for _, q in pts) - sq * sq,
+    )
+    a, b = -round(Fraction(p * sp + q * sq, n * ell)), -round(Fraction(r * sp + s * sq, n * ell))
+    m_inv = [[1, 0, 0], [q * b - s * a, s, -q], [r * a - p * b, -r, p]]
+    back = A.transpose() @ IntMatrix.from_rows(m_inv)
+    b0, b1, b2 = back.entries
+    cov = (_cross(b1, b2), _cross(b2, b0), _cross(b0, b1))  # cof(N^-1) = N^T
+    normals = [
+        (ell, a * ell + p * u + q * w, b * ell + r * u + s * w) for _, u, w in normalized.normals
+    ]
+    rays = [_cross(normals[i], normals[j]) for i, j in zip(cycle, cycle[1:] + cycle[:1])]
+    dets = [float(_dot(rays[0], _cross(rays[j], rays[j + 1]))) for j in range(1, len(rays) - 1)]
+    start = tuple(3 * sum(col) / diagram.d for col in zip(*normals))
+    floats = [(float(3 * ell * r1), float(r2), float(r3)) for r1, r2, r3 in rays]
+    return floats, dets, start, back, cov
 
 
 def minimize_volume_bb(diagram, cy, start_offset=None, tol=1e-11, max_iter=20000):

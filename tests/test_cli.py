@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -796,3 +797,83 @@ def test_analyze_keeps_no_diagram_alive(tmp_path, capsys):
         code, _ = run(capsys, ["analyze", str(path), "--cy", "--topo", "--reeb"])
         assert code == 0
     assert [o.normals for o in alive() if id(o) not in known] == []
+
+
+@pytest.mark.parametrize("seed", ["abc", "1.5", ""])
+def test_non_integer_seed_is_input_error(tmp_path, capsys, monkeypatch, seed):
+    # the restart seed is input too: a bad one is exit 1 with a JSON error
+    monkeypatch.setenv("SASAKIT_SEED", seed)
+    path = write_diagram(tmp_path, "lens2.json", lens(2).normals)
+    code, out = run(capsys, ["analyze", path, "--reeb"])
+    assert code == 1
+    assert json.loads(out)["error"] == f"SASAKIT_SEED must be an integer, got {seed!r}"
+
+
+def test_integer_seed_is_read(tmp_path, capsys, monkeypatch):
+    path = write_diagram(tmp_path, "lens2.json", lens(2).normals)
+    monkeypatch.setenv("SASAKIT_SEED", " 7 ")
+    code, out = run(capsys, ["analyze", path, "--reeb"])
+    assert code == 0 and "xi" in json.loads(out)["stages"]["reeb"]
+
+
+@pytest.mark.parametrize("command", ["check", "analyze", "geodesic-test"])
+def test_deeply_nested_json_is_input_error(tmp_path, capsys, command):
+    # json.load recurses once per bracket; past the recursion limit that is
+    # a DiagramError, exit 1, not a RecursionError traceback
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    with pytest.raises(DiagramError, match="nested too deeply"):
+        load_diagram(str(path))
+    code, out = run(capsys, [command, str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == "diagram JSON is nested too deeply to parse"
+
+
+def test_analyze_work_counts_of_a_good_main4_odd(tmp_path, capsys, monkeypatch):
+    # deterministic work of one analyze --cy --topo --reeb at d = 40: one
+    # rref of [N | I] and one determinant of the normalizer (its sign fix
+    # implies the second); no _saturated call in is_good, whose two-normal
+    # edges read the gcds kept by cone_skeleton; no Fraction in the Reeb
+    # frame.  Written with a second determinant, a _saturated test per edge
+    # and Fraction rounding, the counts were 3, 40 and 3.
+    d = main4_odd(19, 1)
+    assert d.d == 40
+    rref = lattice.rref
+    counts = {"rref": 0, "saturated": 0, "fraction": 0}
+    inside = set()
+
+    def counted_rref(rows, ncols):
+        counts["rref"] += 1
+        return rref(rows, ncols)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("sasakit") and getattr(module, "rref", None) is rref:
+            monkeypatch.setattr(module, "rref", counted_rref)
+
+    def within(name, fn):
+        def wrapped(*args, **kwargs):
+            inside.add(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.discard(name)
+        return wrapped
+
+    saturated = cones._saturated
+
+    def counted_saturated(cols):
+        counts["saturated"] += "is_good" in inside
+        return saturated(cols)
+
+    monkeypatch.setattr(cli, "is_good", within("is_good", cli.is_good))
+    monkeypatch.setattr(cones, "_saturated", counted_saturated)
+    monkeypatch.setattr(reeb, "_reduced_frame", within("frame", reeb._reduced_frame))
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        counts["fraction"] += "frame" in inside
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted_new))
+    _analyze_reeb(tmp_path, capsys, d.normals)
+    assert counts == {"rref": 2, "saturated": 0, "fraction": 0}

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from sasakit.lattice import (
     IntMatrix,
+    _as_int_vector,
     complete_to_unimodular,
     is_primitive,
     make_primitive,
@@ -15,6 +17,24 @@ from sasakit.lattice import (
 )
 
 from helpers import completion_oracle, invariant_factors_via_minors, saturation_box_oracle
+
+
+def test_as_int_vector_contract():
+    # ints, integral floats and Fractions and bools come back as plain ints;
+    # a generator is read once; a fraction or a string is a ValueError, None
+    # a TypeError
+    cases = [(1, -2, 3), (1.0, -2.0, 3.0), (True, False, 7), (Fraction(6, 2), 0, -1)]
+    for v in cases:
+        out = _as_int_vector(v)
+        assert out == tuple(int(x) for x in v)
+        assert all(type(x) is int for x in out)
+    assert _as_int_vector(x for x in (4, 5.0, True)) == (4, 5, 1)
+    assert _as_int_vector([]) == ()
+    for bad in ((1, 1.5, 0), (1, "3", 0), (Fraction(1, 2),), (float("nan"), 0)):
+        with pytest.raises(ValueError):
+            _as_int_vector(bad)
+    with pytest.raises(TypeError):
+        _as_int_vector((1, None, 0))
 
 
 def test_snf_identity():

@@ -1,9 +1,12 @@
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sasakit import (
     UnboundedRegion,
@@ -19,7 +22,7 @@ from sasakit import (
 )
 from sasakit import reeb
 from sasakit.lattice import IntMatrix
-from sasakit.reeb import _fan, _reduced_frame
+from sasakit.reeb import _fan, _reduced_frame, _round_div
 from sasakit.serialize import format_float
 
 from helpers import (
@@ -28,12 +31,19 @@ from helpers import (
     octant,
     random_convex_height1_diagram,
     random_sl3,
+    reduced_frame_oracle,
     transform_normals,
 )
 
 # a det-1 shear of the pentagon (0,0),(1,1),(2,4),(1,3),(0,1), on which an
 # absolute gradient stop ran into its iteration cap
 FAULT_PENTAGON = [[1, -3, -3], [4, -5, -11], [13, -13, -35], [10, -11, -27], [4, -6, -11]]
+
+# the fixed shear of tests/test_golden.py
+GOLDEN_SHEAR = IntMatrix.from_rows([[1, 0, 0], [1, 1, 0], [2, -1, 1]])
+SMALL_D = json.loads(
+    (Path(__file__).parents[1] / "perfbench" / "small_d.json").read_text()
+)["entries"]
 
 
 def test_truncated_octant_unit_simplex():
@@ -336,3 +346,54 @@ def test_each_start_takes_one_fan_pass(monkeypatch):
         assert [p for p, _ in calls].count(calls[k][0]) == 1
         halvings.append(k)
     assert halvings[0] == halvings[1] == 0 < halvings[2]
+
+
+@st.composite
+def frame_diagrams(draw):
+    """Family members, plain, under the golden shear or a random_sl3 shear,
+    and sampled perfbench/small_d.json entries."""
+    source = draw(st.sampled_from(["family", "small-d"]))
+    if source == "small-d":
+        return validate_diagram(draw(st.sampled_from(SMALL_D))["normals"])
+    build = draw(st.sampled_from([
+        lambda: lens(draw(st.integers(1, 12))),
+        z5_lens,
+        lambda: main4_even(draw(st.integers(1, 12)), draw(st.integers(0, 6))),
+        lambda: main4_odd(draw(st.integers(1, 19)), draw(st.integers(0, 6))),
+    ]))
+    d = build()
+    shear = draw(st.sampled_from(["none", "golden", "random"]))
+    if shear == "golden":
+        return transform_normals(d, GOLDEN_SHEAR)
+    if shear == "random":
+        return transform_normals(d, random_sl3(random.Random(draw(st.integers(0, 10**6)))))
+    return d
+
+
+@settings(max_examples=150, deadline=None)
+@given(frame_diagrams())
+def test_reduced_frame_equals_the_fraction_oracle(d):
+    # the int-only frame matches the frame written with Fraction rounding,
+    # IntMatrix.from_rows and a cross product per determinant, field for
+    # field with float ==: the same floats, so the same Newton bytes
+    new = _reduced_frame(d)
+    old = reduced_frame_oracle(validate_diagram(d.normals))
+    assert new[0] == old[0]
+    assert new[1] == old[1]
+    assert new[2] == old[2]
+    assert new[3] == old[3] and all(type(x) is int for row in new[3].entries for x in row)
+    assert new[4] == old[4]
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
+@example(-5, 2)  # a tie below zero goes to the even -2
+@example(-7, 3)
+@example(0, 7)
+def test_round_div_is_fraction_rounding(a, b):
+    assert _round_div(a, b) == round(Fraction(a, b))
+
+
+@given(st.integers(-10**6, 10**6), st.integers(1, 1000))
+def test_round_div_ties_go_to_even(k, b):
+    # (2k + 1) b / (2 b) = k + 1/2, unreduced, lies halfway between k and k + 1
+    assert _round_div((2 * k + 1) * b, 2 * b) == round(Fraction(2 * k + 1, 2))

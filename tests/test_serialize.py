@@ -123,3 +123,17 @@ def test_cli_never_runs_the_pure_python_encoder(tmp_path, monkeypatch):
     with pytest.raises(AssertionError, match="pure-Python encoder"):
         json.dumps({}, indent=2)
     assert _subcommand_outputs(tmp_path) == expected
+
+
+def test_diagram_from_dict_entry_check():
+    # JSON's plain ints pass in one pass; any other entry takes the per-entry
+    # check, which still accepts an int subclass and names the first bad entry
+    from sasakit.errors import DiagramError
+    from sasakit.serialize import diagram_from_dict
+
+    plain, _ = diagram_from_dict({"normals": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    sub, _ = diagram_from_dict({"normals": [[ReprInt(1), 0, 0], [0, 1, 0], [0, 0, 1]]})
+    assert sub.normals == plain.normals
+    for entry in (1.0, True, "1", None):
+        with pytest.raises(DiagramError, match=f"exact integers, got {entry!r}$"):
+            diagram_from_dict({"normals": [[1, 0, 0], [0, 1, 0], [0, 0, entry], [2.5, 0, 1]]})
