@@ -229,8 +229,10 @@ class ConeSkeleton(Record):
     facet_cycle[i] and facet_cycle[i+1] (cyclically).  The cycle starts at
     its smallest index and runs counterclockwise: det(lambda_c0, lambda_c1,
     sum of its normals) > 0.  Normals in `grazing` touch the cone only along
-    a ray; normals in `empty` touch it only at the apex.  Computed by
-    `cone_skeleton` from one convex hull.
+    a ray; normals in `empty` touch it only at the apex.  gcds[i] is the gcd
+    of the cross product of facet_cycle[i] and facet_cycle[i+1], which
+    divided by it is rays[i].  Computed by `cone_skeleton` from one convex
+    hull.
     """
 
     rays: tuple[IntVector, ...]
@@ -238,11 +240,12 @@ class ConeSkeleton(Record):
     facet_cycle: tuple[int, ...]
     grazing: tuple[int, ...]
     empty: tuple[int, ...]
+    gcds: tuple[int, ...]
 
-    def __init__(self, rays, active, facet_cycle, grazing, empty):
+    def __init__(self, rays, active, facet_cycle, grazing, empty, gcds):
         d = self.__dict__
         d["rays"], d["active"], d["facet_cycle"] = rays, active, facet_cycle
-        d["grazing"], d["empty"] = grazing, empty
+        d["grazing"], d["empty"], d["gcds"] = grazing, empty, gcds
 
 
 def _hull_chain(normals, order):
@@ -276,8 +279,7 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     most 4d integer det3 tests for the hull (`_hull_chain`), and for each
     normal off the hull two bisections and at most four integer dot products
     with rays.  Each edge's ray is lambda_i x lambda_j divided by its gcd,
-    and those gcds stay on the diagram (`_edge_gcds`), in cycle order, for
-    `is_good` and `torsion`.
+    and the skeleton keeps those gcds for `is_good` and `torsion`.
     """
     if diagram.rank != 3:
         raise ValueError("face enumeration is implemented for rank 3 only")
@@ -300,7 +302,7 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     pairs = list(zip(facet_cycle, facet_cycle[1:] + facet_cycle[:1]))
     crosses = [_cross(normals[i], normals[j]) for i, j in pairs]
     # adjacent hull vertices are distinct primitive normals, never parallel: g > 0
-    gcds = diagram.__dict__["_edge_gcds"] = tuple(gcd(*c) for c in crosses)
+    gcds = tuple(gcd(*c) for c in crosses)
     rays = [(x // g, y // g, z // g) for (x, y, z), g in zip(crosses, gcds)]
     active = [set(pair) for pair in pairs]
     # Both chains are monotone in the chart's x, so a normal off the hull can
@@ -324,6 +326,7 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
         facet_cycle=tuple(facet_cycle),
         grazing=tuple(sorted(grazing)),
         empty=tuple(n for n in off_hull if n not in grazing),
+        gcds=gcds,
     )
 
 
@@ -368,14 +371,14 @@ def torsion(diagram: ToricDiagram) -> IntVector:
     primitive decides it in O(d): <c, .> maps Z^3 onto Z with kernel the
     saturated span(lambda_i, lambda_j), so the quotient is Z/g with
     g = gcd_k <c, lambda_k>.  Every good diagram has such an edge; the first
-    is the first whose gcd `cone_skeleton` kept is 1, and its ray is c.
+    is the first whose kept gcd (`ConeSkeleton.gcds`) is 1, and its ray is c.
     Without one the group need not be cyclic ((1,0,0), (1,2,0), (1,0,2)
     gives Z/2 x Z/2), and the transform-free Smith diagonal of the normals
     decides, as it does at other ranks.
     """
     if diagram.rank == 3:
-        rays = cone_skeleton(diagram).rays
-        for (c0, c1, c2), edge_gcd in zip(rays, diagram.__dict__["_edge_gcds"]):
+        sk = cone_skeleton(diagram)
+        for (c0, c1, c2), edge_gcd in zip(sk.rays, sk.gcds):
             if edge_gcd == 1:
                 g = gcd(*(c0 * x + c1 * y + c2 * z for x, y, z in diagram.normals))
                 return (g,) if g > 1 else ()
@@ -407,29 +410,31 @@ def is_good(diagram: ToricDiagram, faces=None) -> GoodnessReport:
     at rank 3: `cone_skeleton` (its edges' index sets, in the order of
     `enumerate_faces_3d`, with no face list built) and no arithmetic for an
     edge of two normals, which is saturated iff the gcd of their cross
-    product, kept by `cone_skeleton`, is 1.  An edge of more normals takes
-    one `_saturated` test.  The first failing edge in facet-cycle order is
+    product (`ConeSkeleton.gcds`) is 1.  An edge of more normals takes one
+    `_saturated` test.  The first failing edge in facet-cycle order is
     reported, whatever its size.  At other ranks the caller supplies `faces`
     as index sets.
     """
+    normals = diagram.normals
     if faces is None:
         if diagram.rank != 3:
             raise ValueError("supply a face list for ranks other than 3")
-        edges = zip(cone_skeleton(diagram).active, diagram.__dict__["_edge_gcds"])
-        # a two-normal edge is saturated iff its kept gcd is 1: keep those that
-        # are not, which fail untested, and the larger edges, in cycle order
-        face_sets = [tuple(sorted(a)) for a, g in edges if len(a) > 2 or g != 1]
-    else:
-        face_sets = [tuple(sorted(f)) for f in faces]
-    for idxs in face_sets:
-        known_failure = faces is None and len(idxs) == 2
-        if known_failure or not _saturated([diagram.normals[i] for i in idxs]):
-            return GoodnessReport(
-                good=False,
-                failing_face=idxs,
-                reason="normals on this face are not a saturated independent set",
-            )
+        sk = cone_skeleton(diagram)
+        for act, g in zip(sk.active, sk.gcds):
+            saturated = g == 1 if len(act) == 2 else _saturated([normals[i] for i in sorted(act)])
+            if not saturated:
+                return _not_saturated(tuple(sorted(act)))
+        return GoodnessReport(good=True)
+    for f in faces:
+        idxs = tuple(sorted(f))
+        if not _saturated([normals[i] for i in idxs]):
+            return _not_saturated(idxs)
     return GoodnessReport(good=True)
+
+
+def _not_saturated(face: tuple[int, ...]) -> GoodnessReport:
+    reason = "normals on this face are not a saturated independent set"
+    return GoodnessReport(good=False, failing_face=face, reason=reason)
 
 
 def height1_points(diagram: ToricDiagram) -> list[tuple[int, int]]:

@@ -68,11 +68,10 @@ def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
     normals = data["normals"]
     if not isinstance(normals, list) or not all(isinstance(row, list) for row in normals):
         raise DiagramError('"normals" must be a list of integer lists')
-    if not all(type(x) is int for row in normals for x in row):  # one pass for JSON's ints
-        for row in normals:
-            for x in row:
-                if not _is_int(x):
-                    raise DiagramError(f"normal entries must be exact integers, got {x!r}")
+    for row in normals:
+        for x in row:
+            if type(x) is not int and not _is_int(x):  # JSON's ints skip the call
+                raise DiagramError(f"normal entries must be exact integers, got {x!r}")
     rank = data.get("rank")
     if rank is not None and not _is_int(rank):
         raise DiagramError(f'"rank" must be an integer, got {rank!r}')

@@ -334,12 +334,14 @@ def skeleton_oracle(diagram: ToricDiagram) -> ConeSkeleton:
             facet_cycle = [facet_cycle[0]] + facet_cycle[:0:-1]
             ray_cycle.reverse()
     # ray_cycle[i] is the ray shared by facet_cycle[i] and facet_cycle[i+1]
+    edges = zip(facet_cycle, facet_cycle[1:] + facet_cycle[:1])
     return ConeSkeleton(
         rays=tuple(ray_cycle),
         active=tuple(frozenset(rays[r]) for r in ray_cycle),
         facet_cycle=tuple(facet_cycle),
         grazing=grazing,
         empty=empty,
+        gcds=tuple(gcd(*_cross(normals[i], normals[j])) for i, j in edges),
     )
 
 

@@ -833,9 +833,7 @@ def test_analyze_work_counts_of_a_good_main4_odd(tmp_path, capsys, monkeypatch):
     # deterministic work of one analyze --cy --topo --reeb at d = 40: one
     # rref of [N | I] and one determinant of the normalizer (its sign fix
     # implies the second); no _saturated call in is_good, whose two-normal
-    # edges read the gcds kept by cone_skeleton; no Fraction in the Reeb
-    # frame.  Written with a second determinant, a _saturated test per edge
-    # and Fraction rounding, the counts were 3, 40 and 3.
+    # edges read the skeleton's kept gcds; no Fraction in the Reeb frame.
     d = main4_odd(19, 1)
     assert d.d == 40
     rref = lattice.rref
