@@ -26,7 +26,7 @@ from .cones import (
     is_good,
 )
 from .cy import compute_gamma, kernel_lattice, normalize_height
-from .errors import NotNormalized, SasakitError
+from .errors import NotNormalized, SasakitError, WrongRank
 from .families import FAMILY_BUILDERS
 from .reeb import minimize_volume, truncated_polytope, volume
 from .serialize import (
@@ -108,13 +108,13 @@ def _fail(message: str, code: int, t_start: float | None = None) -> int:
 def _load_rank3(path: str, t_start: float | None = None) -> ToricDiagram | None:
     """The rank-3 diagram at `path`, or None once the input error is printed."""
     try:
-        diagram, _ = load_diagram(path)
-        if diagram.rank != 3:
-            raise ValueError("the command line pipeline handles rank-3 diagrams only")
+        return load_diagram(path, rank=3)[0]
+    except WrongRank:
+        message = "the command line pipeline handles rank-3 diagrams only"
     except (OSError, ValueError) as exc:
-        _fail(str(exc), EXIT_INPUT, t_start)
-        return None
-    return diagram
+        message = str(exc)
+    _fail(message, EXIT_INPUT, t_start)
+    return None
 
 
 def _goodness(report) -> dict:

@@ -34,7 +34,6 @@ from .lattice import (
     _saturated,
     invariant_factors,
     rref,
-    vector_gcd,
 )
 
 
@@ -43,10 +42,6 @@ class ToricDiagram(Record):
 
     rank: int
     normals: tuple[IntVector, ...]
-
-    def __init__(self, rank, normals):
-        d = self.__dict__
-        d["rank"], d["normals"] = rank, normals
 
     @property
     def d(self) -> int:
@@ -66,10 +61,6 @@ class FaceDescriptor(Record):
     kind: str  # "facet" or "edge"
     indices: tuple[int, ...]
     witness: tuple[int, ...] | None
-
-    def __init__(self, kind, indices, witness):
-        d = self.__dict__
-        d["kind"], d["indices"], d["witness"] = kind, indices, witness
 
     @property
     def nonempty(self) -> bool:
@@ -204,7 +195,7 @@ def validate_diagram(normals, rank: int | None = None) -> ToricDiagram:
     if rank is not None and rank != m1:
         raise ValueError(f"declared rank {rank} does not match normal length {m1}")
     for i, v in enumerate(vecs):
-        if vector_gcd(v) != 1:  # the zero vector has gcd 0
+        if gcd(*v) != 1:  # the zero vector has gcd 0
             raise NonPrimitiveNormal(i, v)
     seen = {}
     for i, v in enumerate(vecs):
@@ -241,11 +232,6 @@ class ConeSkeleton(Record):
     grazing: tuple[int, ...]
     empty: tuple[int, ...]
     gcds: tuple[int, ...]
-
-    def __init__(self, rays, active, facet_cycle, grazing, empty, gcds):
-        d = self.__dict__
-        d["rays"], d["active"], d["facet_cycle"] = rays, active, facet_cycle
-        d["grazing"], d["empty"], d["gcds"] = grazing, empty, gcds
 
 
 def _hull_chain(normals, order):
@@ -389,12 +375,8 @@ def torsion(diagram: ToricDiagram) -> IntVector:
 
 class GoodnessReport(Record):
     good: bool
-    failing_face: tuple[int, ...] | None
-    reason: str | None
-
-    def __init__(self, good, failing_face=None, reason=None):
-        d = self.__dict__
-        d["good"], d["failing_face"], d["reason"] = good, failing_face, reason
+    failing_face: tuple[int, ...] | None = None
+    reason: str | None = None
 
     def __bool__(self) -> bool:
         return self.good

@@ -31,10 +31,6 @@ class CalabiYauData(Record):
     gamma: tuple[Fraction, ...]
     height: int
 
-    def __init__(self, gamma, height):
-        d = self.__dict__
-        d["gamma"], d["height"] = gamma, height
-
     def pairing(self, vector) -> Fraction:
         return sum(g * x for g, x in zip(self.gamma, vector))
 
@@ -54,10 +50,6 @@ class KernelLattice(Record):
 
     diagram: ToricDiagram
     component_group: tuple[int, ...]
-
-    def __init__(self, diagram, component_group):
-        d = self.__dict__
-        d["diagram"], d["component_group"] = diagram, component_group
 
     @cached_property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:

@@ -35,6 +35,10 @@ class DegenerateCone(DiagramError):
         )
 
 
+class WrongRank(DiagramError):
+    """A diagram of another rank than its caller handles, refused before validation."""
+
+
 class NotNormalized(SasakitError, ValueError):
     """Operation requires normals in first-component-equals-height form."""
 

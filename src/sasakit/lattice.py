@@ -19,16 +19,27 @@ IntVector = tuple[int, ...]
 
 
 class Record:
-    """A frozen value whose fields are its class's annotations, in order.
+    """A frozen value whose fields, their order and their defaults are its
+    class's annotations (`name: type = default`).
 
-    Each subclass writes its own `__init__`, storing the fields straight into
-    `__dict__`.  Equality (same class, same fields), hash and repr read the
-    fields only, so memos kept in `__dict__` (`cached_property`,
-    `cones._kept_on_diagram`) take no part in them.
+    The base builds each subclass's `__init__` once, when the class is made,
+    storing the fields straight into `__dict__`.  Equality (same class, same
+    fields), hash and repr read the fields only, so memos kept in `__dict__`
+    (`cached_property`, `cones._kept_on_diagram`) take no part in them.
     """
 
     def __init_subclass__(cls):
-        cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        fields = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        if "__init__" in cls.__dict__:
+            raise TypeError(f"{cls.__qualname__}: a record's __init__ is built from its fields")
+        defaults = {f: cls.__dict__[f] for f in fields if f in cls.__dict__}
+        # a default `f=f` reads the namespace `defaults`, the body the argument;
+        # the local `__dict__` is a name no field can take
+        params = "".join(f", {f}={f}" if f in defaults else f", {f}" for f in fields)
+        body = "".join(f"\n    __dict__[{f!r}] = {f}" for f in fields)
+        exec(f"def __init__(self{params}):\n    __dict__ = self.__dict__{body}", defaults)
+        cls.__init__ = defaults["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         return tuple(getattr(self, f) for f in self._fields)
@@ -66,10 +77,6 @@ class IntMatrix(Record):
     rows: int
     cols: int
     entries: tuple[IntVector, ...]
-
-    def __init__(self, rows, cols, entries):
-        d = self.__dict__
-        d["rows"], d["cols"], d["entries"] = rows, cols, entries
 
     @staticmethod
     def from_rows(rows) -> "IntMatrix":
@@ -131,10 +138,6 @@ class SnfDecomposition(Record):
     U: IntMatrix
     D: IntMatrix
     V: IntMatrix
-
-    def __init__(self, U, D, V):
-        d = self.__dict__
-        d["U"], d["D"], d["V"] = U, D, V
 
     @property
     def diagonal(self) -> IntVector:
@@ -281,7 +284,7 @@ def _smith_diagonal(M: IntMatrix) -> IntVector:
     _diagonalize(d)
     diag = tuple(d[i][i] for i in range(min(M.rows, M.cols)))
     # cheap self-check: a divisibility chain led by the gcd of all entries
-    assert diag[0] == vector_gcd(x for r in M.entries for x in r) and all(
+    assert diag[0] == gcd(*(x for r in M.entries for x in r)) and all(
         b % a == 0 if a else b == 0 for a, b in zip(diag, diag[1:])
     ), "internal error: Smith diagonal is not a divisibility chain"
     return diag
@@ -296,14 +299,10 @@ def invariant_factors(M: IntMatrix) -> IntVector:
     return tuple(x for x in _smith_diagonal(M) if x not in (0, 1))
 
 
-def vector_gcd(v) -> int:
-    return gcd(*v)
-
-
 def is_primitive(v) -> bool:
     """True iff the gcd of the entries is 1.  Rejects the zero vector."""
     v = _as_int_vector(v)
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive direction")
     return g == 1
@@ -311,7 +310,7 @@ def is_primitive(v) -> bool:
 
 def make_primitive(v) -> IntVector:
     v = _as_int_vector(v)
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector")
     return tuple(x // g for x in v)
@@ -332,7 +331,7 @@ def complete_to_unimodular(v) -> IntMatrix:
     n = len(v)
     if n < 2:
         raise ValueError("need at least 2 components to complete to SL(n, Z)")
-    if vector_gcd(v) != 1:
+    if gcd(*v) != 1:
         raise ValueError(f"{v} is not primitive")
     column = [[x] for x in v]
     a = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -373,7 +372,7 @@ def sublattice_saturation_equal(vectors) -> bool:
 def _saturated(cols) -> bool:
     """sublattice_saturation_equal of checked integer vectors of one nonzero length."""
     if len(cols) == 1:
-        return vector_gcd(cols[0]) == 1
+        return gcd(*cols[0]) == 1
     if len(cols) == 2:
         a, b = cols
         if len(a) == 3:  # the minors are the entries of the cross product, unrolled

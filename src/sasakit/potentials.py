@@ -137,13 +137,9 @@ class SymplecticPotential(Record):
     diagram: ToricDiagram
     weights: np.ndarray
     forms: np.ndarray
-    extras: tuple[tuple[float, ExtraTerm], ...]
+    extras: tuple[tuple[float, ExtraTerm], ...] = ()
 
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, diagram, weights, forms, extras=()):
-        d = self.__dict__
-        d["diagram"], d["weights"], d["forms"], d["extras"] = diagram, weights, forms, extras
 
     def domain_contains(self, y):
         """Whether y lies in the open domain, or whether each row of a stack does."""
@@ -201,10 +197,6 @@ class PotentialSample(Record):
     F: np.ndarray
 
     __eq__, __hash__ = object.__eq__, object.__hash__
-
-    def __init__(self, y, G, gradG, hessG, F):
-        d = self.__dict__
-        d["y"], d["G"], d["gradG"], d["hessG"], d["F"] = y, G, gradG, hessG, F
 
     @property
     def x(self) -> np.ndarray:

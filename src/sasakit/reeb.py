@@ -29,9 +29,6 @@ class ReebVector(Record):
 
     xi: tuple[float, ...]
 
-    def __init__(self, xi):
-        self.__dict__["xi"] = xi
-
     def __iter__(self):
         return iter(self.xi)
 
@@ -40,9 +37,6 @@ class TruncatedPolytope(Record):
     """Vertices of {y in C : <y, xi> <= 1}; the apex comes first."""
 
     vertices: tuple[tuple, ...]
-
-    def __init__(self, vertices):
-        self.__dict__["vertices"] = vertices
 
     @property
     def cap_vertices(self) -> tuple[tuple, ...]:
@@ -95,11 +89,6 @@ class MinimizationResult(Record):
     grad_norm: float
     iterations: int
     converged: bool
-
-    def __init__(self, xi, volume, grad_norm, iterations, converged):
-        d = self.__dict__
-        d["xi"], d["volume"], d["grad_norm"] = xi, volume, grad_norm
-        d["iterations"], d["converged"] = iterations, converged
 
 
 def _round_div(a: int, b: int) -> int:

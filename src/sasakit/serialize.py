@@ -13,7 +13,7 @@ from json.encoder import encode_basestring_ascii
 
 from .cones import ToricDiagram, validate_diagram
 from .cy import CalabiYauData, compute_gamma
-from .errors import DiagramError
+from .errors import DiagramError, WrongRank
 
 FLOAT_FORMAT = "%.12g"
 PRECISION = 12
@@ -55,8 +55,11 @@ def _gamma_entry(s) -> Fraction:
         raise DiagramError(f'"gamma" entries must be rationals like "-1/2", got {s!r}') from None
 
 
-def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
+def diagram_from_dict(data, rank=None) -> tuple[ToricDiagram, CalabiYauData | None]:
     """Diagram (and optional height data) from parsed JSON; DiagramError if malformed.
+
+    Given `rank`, a first normal of another length or another "rank" field
+    raises WrongRank before the diagram is validated.
 
     A given "gamma" and "height", together or alone, must be the diagram's
     own (`cy.compute_gamma`); a "gamma" without "height" claims height 1.
@@ -72,10 +75,12 @@ def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
         for x in row:
             if type(x) is not int and not _is_int(x):  # JSON's ints skip the call
                 raise DiagramError(f"normal entries must be exact integers, got {x!r}")
-    rank = data.get("rank")
-    if rank is not None and not _is_int(rank):
-        raise DiagramError(f'"rank" must be an integer, got {rank!r}')
-    diagram = validate_diagram(normals, rank=rank)
+    declared = data.get("rank")
+    if declared is not None and not _is_int(declared):
+        raise DiagramError(f'"rank" must be an integer, got {declared!r}')
+    if rank is not None and (declared not in (None, rank) or normals and len(normals[0]) != rank):
+        raise WrongRank(f"a rank-{rank} diagram is required")
+    diagram = validate_diagram(normals, rank=declared)
     if "gamma" not in data and "height" not in data:
         return diagram, None
     if "gamma" in data and not isinstance(data["gamma"], list):
@@ -96,13 +101,13 @@ def diagram_from_dict(data) -> tuple[ToricDiagram, CalabiYauData | None]:
     return diagram, cy
 
 
-def load_diagram(path: str) -> tuple[ToricDiagram, CalabiYauData | None]:
+def load_diagram(path: str, rank=None) -> tuple[ToricDiagram, CalabiYauData | None]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except RecursionError:
             raise DiagramError("diagram JSON is nested too deeply to parse") from None
-    return diagram_from_dict(data)
+    return diagram_from_dict(data, rank)
 
 
 def dumps(obj) -> str:

@@ -22,11 +22,6 @@ class TopologyReport(Record):
     area_times_2: int | None
     identification: str
 
-    def __init__(self, pi1_invariant_factors, b2, area_times_2, identification):
-        d = self.__dict__
-        d["pi1_invariant_factors"], d["b2"] = pi1_invariant_factors, b2
-        d["area_times_2"], d["identification"] = area_times_2, identification
-
     def to_json_dict(self) -> dict:
         return {
             "pi1": list(self.pi1_invariant_factors),

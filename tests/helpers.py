@@ -33,7 +33,6 @@ from sasakit.lattice import (
     IntVector,
     make_primitive,
     smith_normal_form,
-    vector_gcd,
 )
 
 
@@ -214,7 +213,7 @@ def validation_oracle(normals):
     interior, then sympy's rank of the normals: no shared elimination.
     """
     vecs = [tuple(v) for v in normals]
-    if any(vector_gcd(v) != 1 for v in vecs):
+    if any(gcd(*v) != 1 for v in vecs):
         return NonPrimitiveNormal
     if len(set(vecs)) < len(vecs):
         return RedundantNormal

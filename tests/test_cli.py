@@ -557,6 +557,38 @@ def test_check_malformed_diagram_json_is_input_error(tmp_path, capsys, text, mes
     assert message in json.loads(out)["error"]
 
 
+@pytest.mark.parametrize("command", ["check", "analyze", "geodesic-test"])
+@pytest.mark.parametrize(
+    "normals",
+    [
+        [(1, 0), (0, 1), (1, 2)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)],
+    ],
+    ids=["rank-2", "rank-4"],
+)
+def test_other_ranks_are_refused_before_validation(
+    tmp_path, capsys, monkeypatch, command, normals
+):
+    # neither input has a height covector, so validating it would run
+    # Fourier-Motzkin at its own rank; the command line refuses it first
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    monkeypatch.setattr(cones, "elimination", counted("elimination", cones.elimination))
+    monkeypatch.setattr(cones, "_fm_feasible", counted("fm", cones._fm_feasible))
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps({"normals": normals}))
+    code, out = run(capsys, [command, str(path)])
+    assert code == 1
+    assert json.loads(out)["error"] == "the command line pipeline handles rank-3 diagrams only"
+    assert calls == []
+    # the library loads the same file, validating it in full
+    assert load_diagram(str(path))[0].rank == len(normals[0])
+    assert "fm" in calls
+
+
 @pytest.mark.parametrize("t", ["0", "1"])
 def test_geodesic_test_t_outside_open_interval_is_input_error(tmp_path, capsys, t):
     path = write_diagram(tmp_path, "octant.json", [(1, 0, 0), (0, 1, 0), (0, 0, 1)])

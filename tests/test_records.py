@@ -37,6 +37,7 @@ from sasakit import (
     z5_lens,
 )
 from sasakit.cones import ConeSkeleton, cone_skeleton, torsion
+from sasakit.lattice import Record
 
 
 def _fields_of(record):
@@ -99,6 +100,23 @@ CASES = [
 ]
 IDS = [case[0].__name__ for case in CASES]
 BY_IDENTITY = {cls for cls, _, other in CASES if other is None}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_cases_are_every_record_and_none_writes_its_own_init():
+    # every record the package defines gets the checks below, and each one's
+    # __init__ is the one Record compiled from its annotations
+    import sasakit.potentials  # noqa: F401  its records load only with numpy
+
+    records = {cls for cls in _subclasses(Record) if cls.__module__.startswith("sasakit.")}
+    assert records == {cls for cls, _, _ in CASES}
+    for cls in records:
+        assert cls.__dict__["__init__"].__code__.co_filename == "<string>", cls
 
 
 def _reference(cls, values):
