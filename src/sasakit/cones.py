@@ -13,7 +13,6 @@ normal directions are rejected.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import wraps
@@ -112,54 +111,38 @@ def _cross(a, b) -> IntVector:
     )
 
 
-# --- Fourier-Motzkin feasibility (exact) ------------------------------------
+# --- Gordan's alternative (exact) --------------------------------------------
 
-def _fm_feasible(constraints, nvars):
-    """Witness for the system <c, y> >= r, or None if infeasible.
+def _gordan_witness(normals, rank):
+    """y with <lambda_i, y> >= 1 for every normal, or None when 0 is a convex
+    combination of the normals: Gordan's alternative, decided exactly.
 
-    Small-scale Fourier-Motzkin over Fraction, at any rank.  Its cost
-    depends on the lattice basis, so `interior_point` runs it only on
-    diagrams without a height covector, where it is the only interior test.
+    Phase 1 of the simplex method on sum mu_i (lambda_i, 1) = (0, ..., 0, 1),
+    mu >= 0, from one artificial per row, under Bland's rule with no
+    artificial re-entering, so it cannot cycle.  Each basis B is solved by one
+    `rref` of [B | A | I | b], whose identity block is scale * B^-1.  At a
+    positive optimum the prices pi = c_B B^-1 pair to at most 0 with every
+    column (lambda_i, 1) and to pi[rank] > 0 with b, so y = -pi[:rank] / pi[rank].
     """
-    levels = [[(tuple(map(Fraction, c)), Fraction(r)) for c, r in constraints]]
-    for k in range(nvars - 1, -1, -1):
-        nxt = []
-        lows, ups = [], []
-        for c, r in levels[-1]:
-            if c[k] > 0:
-                lows.append((c, r))
-            elif c[k] < 0:
-                ups.append((c, r))
-            else:
-                nxt.append((c[:k], r))
-        for (a, ra), (b, rb) in itertools.product(lows, ups):
-            p, n = a[k], b[k]
-            coeffs = tuple(p * b[j] - n * a[j] for j in range(k))
-            nxt.append((coeffs, p * rb - n * ra))
-        levels.append(nxt)
-    if any(r > 0 for _, r in levels[-1]):
-        return None
-    witness = []
-    for k in range(nvars):
-        level = levels[nvars - 1 - k]  # constraints still involving y_k
-        lo, hi = None, None
-        for c, r in level:
-            rest = r - sum(ci * wi for ci, wi in zip(c, witness))
-            if c[k] > 0:
-                bound = rest / c[k]
-                lo = bound if lo is None else max(lo, bound)
-            elif c[k] < 0:
-                bound = rest / c[k]
-                hi = bound if hi is None else min(hi, bound)
-        if lo is None and hi is None:
-            witness.append(Fraction(0))
-        elif hi is None:
-            witness.append(lo + 1)
-        elif lo is None:
-            witness.append(hi - 1)
-        else:
-            witness.append((lo + hi) / 2)
-    return witness
+    m, d = rank + 1, len(normals)
+    cols = [*((*lam, 1) for lam in normals), *IntMatrix.identity(m).entries]
+    basis = list(range(d, d + m))  # the artificials are columns d, ..., d + rank
+    while True:
+        rows, _, scale, _ = rref(zip(*(cols[j] for j in basis), *cols, (0,) * rank + (1,)), m)
+        sign = -1 if scale < 0 else 1
+        # c_B [I | B^-1 A | B^-1 | B^-1 b], times |scale|: the artificial rows' sums
+        priced = [sign * sum(c) for c in zip(*(r for r, j in zip(rows, basis) if j >= d))]
+        if not priced or priced[-1] == 0:
+            return None
+        enter = next((j for j in range(d) if priced[m + j] > 0), None)
+        if enter is None:
+            pi = priced[m + d : m + d + m]
+            return tuple(Fraction(-p, pi[rank]) for p in pi[:rank])
+        leave = min(
+            (i for i in range(m) if sign * rows[i][m + enter] > 0),
+            key=lambda i: (Fraction(rows[i][-1], rows[i][m + enter]), basis[i]),
+        )
+        basis[leave] = enter
 
 
 @_kept_on_diagram
@@ -167,15 +150,15 @@ def interior_point(diagram: ToricDiagram):
     """A rational point y with <y, lambda_i> >= 1 for every normal.
 
     -gamma, pairing to exactly 1, when the height covector exists; otherwise
-    Fourier-Motzkin decides, raising EmptyInterior.
+    `_gordan_witness` decides, raising EmptyInterior.
     """
     gamma = height_covector(diagram)
     if gamma is not None:
         return tuple(-g for g in gamma)
-    w = _fm_feasible([(lam, 1) for lam in diagram.normals], diagram.rank)
+    w = _gordan_witness(diagram.normals, diagram.rank)
     if w is None:
         raise EmptyInterior()
-    return tuple(w)
+    return w
 
 
 # --- validation --------------------------------------------------------------
@@ -260,12 +243,12 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     Seen from the interior witness w, the normals are points of the plane
     <w, y> = 1; their hull vertices are the true facets and its edges the
     extreme rays, whichever the witness.  Cost: the witness of validation
-    (-gamma, or Fourier-Motzkin without a height covector), an O(d log d)
-    sort of integer chart keys (Fractions without a height covector), at
-    most 4d integer det3 tests for the hull (`_hull_chain`), and for each
-    normal off the hull two bisections and at most four integer dot products
-    with rays.  Each edge's ray is lambda_i x lambda_j divided by its gcd,
-    and the skeleton keeps those gcds for `is_good` and `torsion`.
+    (-gamma, or one `rref` per simplex basis without a height covector), an
+    O(d log d) sort of integer chart keys (without a height covector,
+    Fractions from one pairing with w per normal), at most 4d integer det3
+    tests for the hull (`_hull_chain`), and for each normal off the hull two
+    bisections and at most four integer dot products with rays.  Each edge's
+    ray is lambda_i x lambda_j over its gcd, kept for `is_good` and `torsion`.
     """
     if diagram.rank != 3:
         raise ValueError("face enumeration is implemented for rank 3 only")
@@ -276,7 +259,8 @@ def cone_skeleton(diagram: ToricDiagram) -> ConeSkeleton:
     if height_covector(diagram) is not None:  # w = -gamma pairs to 1 with every normal
         keys = [(lam[a], lam[b]) for lam in normals]
     else:
-        keys = [(lam[a] / _dot(w, lam), lam[b] / _dot(w, lam)) for lam in normals]
+        dots = [_dot(w, lam) for lam in normals]
+        keys = [(lam[a] / t, lam[b] / t) for lam, t in zip(normals, dots)]
 
     order = sorted(range(len(normals)), key=keys.__getitem__)
     lower, upper = _hull_chain(normals, order), _hull_chain(normals, reversed(order))

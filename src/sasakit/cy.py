@@ -115,7 +115,7 @@ def _normalized(diagram: ToricDiagram) -> tuple[IntMatrix, ToricDiagram]:
         at_inv = A.inverse_unimodular().transpose()
         new_normals = tuple(map(at_inv.mul_vector, diagram.normals))
     assert all(v[0] == cy.height for v in new_normals)
-    # a unimodular image of a validated diagram is valid: no second Fourier-Motzkin
+    # a unimodular image of a validated diagram is valid: no second interior test
     return A, ToricDiagram(rank=diagram.rank, normals=new_normals)
 
 

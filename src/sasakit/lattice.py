@@ -4,8 +4,8 @@ Everything here runs on Python ints, so results are exact at any magnitude:
 transform-free invariant factors behind every lattice verdict, unimodular
 completion of a primitive vector by one Euclid pass on its column, primitivity,
 saturation of sublattices, and the one fraction-free (Bareiss) elimination,
-`rref`, behind every rank, determinant, unimodular inverse, kernel basis and
-height covector in the package.  The full Smith normal form with its
+`rref`, behind every rank, determinant, unimodular inverse, kernel basis,
+height covector and interior witness.  The full Smith normal form with its
 transforms stays as a library function; no verdict calls it.
 """
 

@@ -26,7 +26,7 @@ from sasakit import (
     truncated_polytope,
     validate_diagram,
 )
-from sasakit.cones import ConeSkeleton, ToricDiagram, _cross, _dot, _fm_feasible, cone_skeleton
+from sasakit.cones import ConeSkeleton, ToricDiagram, _cross, _dot, cone_skeleton
 from sasakit.cy import compute_gamma, normalize_height
 from sasakit.lattice import (
     IntMatrix,
@@ -204,6 +204,54 @@ def saturation_snf_oracle(vectors) -> bool:
 def nullspace(rows):
     """sympy's kernel basis of a rational matrix, one vector per free column, as Fractions."""
     return [[Fraction(int(x.p), int(x.q)) for x in v] for v in sympy.Matrix(rows).nullspace()]
+
+
+def _fm_feasible(constraints, nvars):
+    """Witness for the system <c, y> >= r, or None if infeasible.
+
+    Small-scale Fourier-Motzkin over Fraction, at any rank: the reference
+    for `cones._gordan_witness`.  Its cost depends on the lattice basis and
+    can grow doubly exponentially with the rank, so it stays out of `src`.
+    """
+    levels = [[(tuple(map(Fraction, c)), Fraction(r)) for c, r in constraints]]
+    for k in range(nvars - 1, -1, -1):
+        nxt = []
+        lows, ups = [], []
+        for c, r in levels[-1]:
+            if c[k] > 0:
+                lows.append((c, r))
+            elif c[k] < 0:
+                ups.append((c, r))
+            else:
+                nxt.append((c[:k], r))
+        for (a, ra), (b, rb) in itertools.product(lows, ups):
+            p, n = a[k], b[k]
+            coeffs = tuple(p * b[j] - n * a[j] for j in range(k))
+            nxt.append((coeffs, p * rb - n * ra))
+        levels.append(nxt)
+    if any(r > 0 for _, r in levels[-1]):
+        return None
+    witness = []
+    for k in range(nvars):
+        level = levels[nvars - 1 - k]  # constraints still involving y_k
+        lo, hi = None, None
+        for c, r in level:
+            rest = r - sum(ci * wi for ci, wi in zip(c, witness))
+            if c[k] > 0:
+                bound = rest / c[k]
+                lo = bound if lo is None else max(lo, bound)
+            elif c[k] < 0:
+                bound = rest / c[k]
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None and hi is None:
+            witness.append(Fraction(0))
+        elif hi is None:
+            witness.append(lo + 1)
+        elif lo is None:
+            witness.append(hi - 1)
+        else:
+            witness.append((lo + hi) / 2)
+    return witness
 
 
 def validation_oracle(normals):

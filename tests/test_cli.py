@@ -569,15 +569,15 @@ def test_check_malformed_diagram_json_is_input_error(tmp_path, capsys, text, mes
 def test_other_ranks_are_refused_before_validation(
     tmp_path, capsys, monkeypatch, command, normals
 ):
-    # neither input has a height covector, so validating it would run
-    # Fourier-Motzkin at its own rank; the command line refuses it first
+    # neither input has a height covector, so validating it would run the
+    # Gordan witness's simplex at its own rank; the command line refuses it first
     calls = []
 
     def counted(name, fn):
         return lambda *args: calls.append(name) or fn(*args)
 
     monkeypatch.setattr(cones, "elimination", counted("elimination", cones.elimination))
-    monkeypatch.setattr(cones, "_fm_feasible", counted("fm", cones._fm_feasible))
+    monkeypatch.setattr(cones, "_gordan_witness", counted("gordan", cones._gordan_witness))
     path = tmp_path / "d.json"
     path.write_text(json.dumps({"normals": normals}))
     code, out = run(capsys, [command, str(path)])
@@ -586,7 +586,7 @@ def test_other_ranks_are_refused_before_validation(
     assert calls == []
     # the library loads the same file, validating it in full
     assert load_diagram(str(path))[0].rank == len(normals[0])
-    assert "fm" in calls
+    assert "gordan" in calls
 
 
 @pytest.mark.parametrize("t", ["0", "1"])
@@ -784,25 +784,25 @@ def test_analyze_runs_one_elimination_of_the_normals(tmp_path, capsys, monkeypat
     # rref of [N | I]: gamma costs no solve of its own, the normalizer is
     # inverted by cofactors, not by an augmented [A | I], and the rest are
     # determinants of 3 x 3 or smaller; a diagram with a height covector
-    # never runs Fourier-Motzkin
+    # never runs the Gordan witness's simplex
     shear = lattice.IntMatrix.from_rows([[1, 0, 0], [1, 1, 0], [2, -1, 1]])
     normals = [shear.mul_vector(v) for v in main4_odd(19, 0).normals]
     shapes, systems = [], []
-    rref, fm_feasible = lattice.rref, cones._fm_feasible
+    rref, gordan_witness = lattice.rref, cones._gordan_witness
 
     def counted_rref(rows, ncols):
         rows = [list(r) for r in rows]
         shapes.append((len(rows), len(rows[0]), ncols))
         return rref(rows, ncols)
 
-    def counted_fm(constraints, nvars):
-        systems.append(len(constraints))
-        return fm_feasible(constraints, nvars)
+    def counted_gordan(normals, rank):
+        systems.append(len(normals))
+        return gordan_witness(normals, rank)
 
     for module in list(sys.modules.values()):
         if module.__name__.startswith("sasakit") and getattr(module, "rref", None) is rref:
             monkeypatch.setattr(module, "rref", counted_rref)
-    monkeypatch.setattr(cones, "_fm_feasible", counted_fm)
+    monkeypatch.setattr(cones, "_gordan_witness", counted_gordan)
     path = write_diagram(tmp_path, "m4.json", normals)
     code, _ = run(capsys, ["analyze", path, "--cy", "--topo", "--reeb"])
     assert code == 0

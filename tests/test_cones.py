@@ -33,6 +33,7 @@ from sasakit.cones import cone_skeleton, height_covector
 from sasakit.lattice import IntMatrix, make_primitive
 
 from helpers import (
+    _fm_feasible,
     gamma_oracle,
     octant,
     random_convex_height1_diagram,
@@ -141,23 +142,87 @@ def test_validation_matches_earlier_path_on_families():
             assert_matches_earlier_path([m.mul_vector(v) for v in d.normals])
 
 
-def test_fourier_motzkin_runs_only_without_a_height_covector(monkeypatch):
+def test_gordan_witness_runs_only_without_a_height_covector(monkeypatch):
     systems = []
-    fm_feasible = cones._fm_feasible
+    gordan_witness = cones._gordan_witness
     no_gamma = non_cy(2).normals
 
-    def counted(constraints, nvars):
-        systems.append(len(constraints))
-        return fm_feasible(constraints, nvars)
+    def counted(normals, rank):
+        systems.append(len(normals))
+        return gordan_witness(normals, rank)
 
-    monkeypatch.setattr(cones, "_fm_feasible", counted)
+    monkeypatch.setattr(cones, "_gordan_witness", counted)
     validate_diagram(no_gamma)
     assert systems == [4]
-    # a centred, sheared d = 161 parabola, where Fourier-Motzkin took seconds
+    # a sheared d = 161 parabola has a height covector: -gamma is its witness
     shear = IntMatrix.from_rows([[1, 0, 0], [3, 1, 0], [5, 7, 1]])
     d = validate_diagram([shear.mul_vector((1, i, i * i)) for i in range(-80, 81)])
     assert systems == [4]
     assert interior_point(d) == tuple(-g for g in height_covector(d))
+
+
+@st.composite
+def ranked_normals(draw):
+    """Raw normals of rank 2 to 5: zero, repeated and non-primitive ones included."""
+    rank = draw(st.integers(2, 5))
+    return draw(st.lists(st.tuples(*[st.integers(-2, 2)] * rank), min_size=1, max_size=6))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_normals())
+@example([(1, 0), (-1, 0), (0, 1)])  # rank 2, 0 in the convex hull: EmptyInterior
+@example([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1), (1, 1, 0, 0)])  # valid, no gamma
+def test_gordan_witness_agrees_with_fourier_motzkin_at_every_rank(normals):
+    rank = len(normals[0])
+    w = cones._gordan_witness(normals, rank)
+    assert (w is None) == (_fm_feasible([(v, 1) for v in normals], rank) is None)
+    if w is not None:
+        assert all(sum(a * b for a, b in zip(w, v)) >= 1 for v in normals)
+    assert_matches_earlier_path(normals)
+
+
+def centred_no_gamma_parabola(n):
+    """(1, i, i^2) for |i| <= n plus (2, 1, -1), moved by (l, p, q) -> (l, p, q - n^2 // 2 * l).
+
+    The extra normal pairs to -2 with (-1, 0, 0), so there is no height covector.
+    """
+    normals = [(1, i, i * i) for i in range(-n, n + 1)] + [(2, 1, -1)]
+    return [(l, p, q - n * n // 2 * l) for l, p, q in normals]
+
+
+def counted_rref(monkeypatch):
+    """The `ncols` of every `cones.rref` call from now on."""
+    calls, rref = [], cones.rref
+    monkeypatch.setattr(cones, "rref", lambda rows, ncols: calls.append(ncols) or rref(rows, ncols))
+    return calls
+
+
+def test_gordan_witness_bases_do_not_grow_with_d(monkeypatch):
+    # the simplex solves each basis by one rref, so the count of rref calls is
+    # its count of bases: it must not grow with d
+    bases = counted_rref(monkeypatch)
+    shear = IntMatrix.from_rows([[1, 0, 0], [3, 1, 0], [5, 7, 1]])
+    for m in (IntMatrix.identity(3), shear):
+        counts = []
+        for n in (20, 320):  # d = 42 and 642
+            normals = [m.mul_vector(v) for v in centred_no_gamma_parabola(n)]
+            bases.clear()
+            w = cones._gordan_witness(normals, 3)
+            assert all(sum(a * b for a, b in zip(w, v)) >= 1 for v in normals)
+            counts.append(len(bases))
+        assert counts[1] <= counts[0]
+
+
+def test_rank9_library_call_finds_the_empty_interior_in_few_bases(monkeypatch):
+    # 30 normals of rank 9 with no height covector, through the library path
+    bases = counted_rref(monkeypatch)
+    rng = random.Random(0)
+    normals = [tuple(rng.randint(-3, 3) for _ in range(9)) for _ in range(30)]
+    with pytest.raises(EmptyInterior):
+        validate_diagram(normals)
+    # the simplex solves bases on 10 columns, the elimination of [N | I] on 30;
+    # seeds 0-9 took 19-48 bases
+    assert bases.count(10) <= 50
 
 
 # --- face enumeration -----------------------------------------------------------
