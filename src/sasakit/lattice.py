@@ -5,8 +5,10 @@ transform-free invariant factors behind every lattice verdict, unimodular
 completion of a primitive vector by one Euclid pass on its column, primitivity,
 saturation of sublattices, and the one fraction-free (Bareiss) elimination,
 `rref`, behind every rank, determinant, unimodular inverse, kernel basis,
-height covector and interior witness.  The full Smith normal form with its
-transforms stays as a library function; no verdict calls it.
+height covector and interior witness.  One Smith pivot loop serves the
+invariant factors, the completion and the full Smith normal form; a transform
+rides along as an identity appended to the matrix.  The full form stays as a
+library function; no verdict calls it.
 """
 
 from __future__ import annotations
@@ -170,44 +172,14 @@ def _pivot(m, t, rows, cols):
     return min(keys)[1:] if keys else None
 
 
-def _diagonalize(d, u=None, v=None) -> None:
-    """The Smith pivot loop, in place on the row lists `d`.
+def _diagonalize(d, rows, cols) -> None:
+    """The Smith pivot loop, in place on the row lists `d`, pivoting on their
+    leading `rows` x `cols` block.
 
-    Row operations are repeated on `u` and column operations on `v` when
-    they are given.  Without them only the diagonal is computed: at 3 x d
-    that skips updating the d x d transform V at every column operation.
+    Row operations act on whole rows and column operations on every row, so
+    identities appended to the block record them: from [[M | I], [I]] the
+    block ends as D, the right of the top rows as U and the rows below as V.
     """
-    rows, cols = len(d), len(d[0])
-
-    def row_swap(a, b):
-        d[a], d[b] = d[b], d[a]
-        if u is not None:
-            u[a], u[b] = u[b], u[a]
-
-    def col_swap(a, b):
-        for r in d:
-            r[a], r[b] = r[b], r[a]
-        if v is not None:
-            for r in v:
-                r[a], r[b] = r[b], r[a]
-
-    def row_add(dst, src, c):
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        if u is not None:
-            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def col_add(dst, src, c):
-        for r in d:
-            r[dst] += c * r[src]
-        if v is not None:
-            for r in v:
-                r[dst] += c * r[src]
-
-    def row_neg(a):
-        d[a] = [-x for x in d[a]]
-        if u is not None:
-            u[a] = [-x for x in u[a]]
-
     n = min(rows, cols)
     t = 0
     while t < n:
@@ -215,10 +187,10 @@ def _diagonalize(d, u=None, v=None) -> None:
         if loc is None:
             break
         i, j = loc
-        if i != t:
-            row_swap(i, t)
+        d[i], d[t] = d[t], d[i]
         if j != t:
-            col_swap(j, t)
+            for r in d:
+                r[j], r[t] = r[t], r[j]
         while True:
             # clear column t below the pivot
             dirty = False
@@ -226,9 +198,9 @@ def _diagonalize(d, u=None, v=None) -> None:
                 if d[i][t] != 0:
                     q = d[i][t] // d[t][t]
                     if q:
-                        row_add(i, t, -q)
+                        d[i] = [x - q * y for x, y in zip(d[i], d[t])]
                     if d[i][t] != 0:
-                        row_swap(i, t)
+                        d[i], d[t] = d[t], d[i]
                         dirty = True
             if dirty:
                 continue
@@ -237,9 +209,11 @@ def _diagonalize(d, u=None, v=None) -> None:
                 if d[t][j] != 0:
                     q = d[t][j] // d[t][t]
                     if q:
-                        col_add(j, t, -q)
+                        for r in d:
+                            r[j] -= q * r[t]
                     if d[t][j] != 0:
-                        col_swap(j, t)
+                        for r in d:
+                            r[j], r[t] = r[t], r[j]
                         dirty = True
             if dirty:
                 continue
@@ -254,9 +228,9 @@ def _diagonalize(d, u=None, v=None) -> None:
                     break
             if offender is None:
                 break
-            row_add(t, offender, 1)
+            d[t] = [x + y for x, y in zip(d[t], d[offender])]
         if d[t][t] < 0:
-            row_neg(t)
+            d[t] = [-x for x in d[t]]
         t += 1
 
 
@@ -267,12 +241,13 @@ def smith_normal_form(M: IntMatrix) -> SnfDecomposition:
     nonnegative entries forming a divisibility chain d1 | d2 | ...
     """
     rows, cols = M.rows, M.cols
-    d = [list(r) for r in M.entries]
-    u = [[1 if i == j else 0 for j in range(rows)] for i in range(rows)]
-    v = [[1 if i == j else 0 for j in range(cols)] for i in range(cols)]
-    _diagonalize(d, u, v)
+    d = [[*r, *e] for r, e in zip(M.entries, IntMatrix.identity(rows).entries)]
+    d += map(list, IntMatrix.identity(cols).entries)
+    _diagonalize(d, rows, cols)
     snf = SnfDecomposition(
-        U=IntMatrix.from_rows(u), D=IntMatrix.from_rows(d), V=IntMatrix.from_rows(v)
+        U=IntMatrix.from_rows(r[cols:] for r in d[:rows]),
+        D=IntMatrix.from_rows(r[:cols] for r in d[:rows]),
+        V=IntMatrix.from_rows(d[rows:]),
     )
     assert snf.verify(M), "internal error: SNF failed remultiplication check"
     return snf
@@ -281,7 +256,7 @@ def smith_normal_form(M: IntMatrix) -> SnfDecomposition:
 def _smith_diagonal(M: IntMatrix) -> IntVector:
     """The Smith diagonal d1 | d2 | ... of M, without the transforms U and V."""
     d = [list(r) for r in M.entries]
-    _diagonalize(d)
+    _diagonalize(d, M.rows, M.cols)
     diag = tuple(d[i][i] for i in range(min(M.rows, M.cols)))
     # cheap self-check: a divisibility chain led by the gcd of all entries
     assert diag[0] == gcd(*(x for r in M.entries for x in r)) and all(
@@ -322,10 +297,11 @@ def complete_to_unimodular(v) -> IntMatrix:
     The sign convention targets -1 in the leading slot.  Requires a primitive
     vector of length at least 2; in rank 1 no SL(1, Z) element can flip sign.
     A is the row transform of one Euclid pass on the column v (the Smith
-    pivot loop of `_diagonalize`: a single column takes no column
-    operations), with row 0 negated to send v to -e_1 and, if that leaves
-    det -1, row 1 negated too.  Its certificate is A v = -e_1 and one
-    determinant of +-1 before that second negation, which makes it 1.
+    pivot loop of `_diagonalize` on [v | I]: a single column takes no column
+    operations, and the identity ends as that transform), with row 0
+    negated to send v to -e_1 and, if that leaves det -1, row 1 negated
+    too.  Its certificate is A v = -e_1 and one determinant of +-1 before
+    that second negation, which makes it 1.
     """
     v = _as_int_vector(v)
     n = len(v)
@@ -333,9 +309,9 @@ def complete_to_unimodular(v) -> IntMatrix:
         raise ValueError("need at least 2 components to complete to SL(n, Z)")
     if gcd(*v) != 1:
         raise ValueError(f"{v} is not primitive")
-    column = [[x] for x in v]
-    a = [[int(i == j) for j in range(n)] for i in range(n)]
-    _diagonalize(column, a)  # leaves a v = column = (1, 0, ..., 0)
+    d = [[x, *e] for x, e in zip(v, IntMatrix.identity(n).entries)]
+    _diagonalize(d, n, 1)  # leaves the column (1, 0, ..., 0) and a on its right
+    a = [r[1:] for r in d]
     a[0] = [-x for x in a[0]]
     det = IntMatrix(n, n, tuple(map(tuple, a))).det()
     if det == -1:  # negating a row flips det -1 to 1: no second determinant
@@ -355,8 +331,7 @@ def sublattice_saturation_equal(vectors) -> bool:
 
     - one vector: saturated iff the gcd of its entries is 1, O(n);
     - two vectors, at any rank n: saturated iff the gcd of their 2x2 minors
-      is 1 (at rank 3 the minors are the entries of the cross product),
-      O(n^2);
+      is 1, O(n^2);
     - k >= 3 vectors: saturated iff the transform-free Smith diagonal is k
       ones; min(k, n) pivots, each O(k n) integer work per reduction pass,
       with no U, V or determinant.
@@ -375,9 +350,6 @@ def _saturated(cols) -> bool:
         return gcd(*cols[0]) == 1
     if len(cols) == 2:
         a, b = cols
-        if len(a) == 3:  # the minors are the entries of the cross product, unrolled
-            (a0, a1, a2), (b0, b1, b2) = a, b
-            return gcd(a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0) == 1
         g = 0
         for i in range(len(a)):
             for j in range(i + 1, len(a)):

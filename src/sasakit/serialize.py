@@ -49,10 +49,13 @@ def _is_int(x) -> bool:
 
 
 def _gamma_entry(s) -> Fraction:
-    try:
-        return fraction_from_str(s)
-    except (ValueError, ZeroDivisionError):
-        raise DiagramError(f'"gamma" entries must be rationals like "-1/2", got {s!r}') from None
+    # an exponent is refused unread: Fraction("1e100000000") builds 10 ** 100000000
+    if "e" not in str(s).lower():
+        try:
+            return fraction_from_str(s)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise DiagramError(f'"gamma" entries must be rationals like "-1/2", got {s!r}')
 
 
 def diagram_from_dict(data, rank=None) -> tuple[ToricDiagram, CalabiYauData | None]:

@@ -121,8 +121,7 @@ def potential_record(directory: Path, normals) -> dict:
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 @pytest.mark.parametrize("name", sorted(cases()))
-def test_golden_bytes(name, command, tmp_path, monkeypatch):
-    monkeypatch.delenv("SASAKIT_SEED", raising=False)
+def test_golden_bytes(name, command, tmp_path):
     golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     path = tmp_path / "diagram.json"
     path.write_text(dumps({"rank": 3, "normals": golden["normals"]}))
@@ -132,8 +131,7 @@ def test_golden_bytes(name, command, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(potential_cases()))
-def test_golden_potential_bytes(name, tmp_path, monkeypatch):
-    monkeypatch.delenv("SASAKIT_SEED", raising=False)
+def test_golden_potential_bytes(name, tmp_path):
     path = GOLDEN_POTENTIALS / f"{name}.json"
     golden = json.loads(path.read_text(encoding="utf-8"))
     assert potential_record(tmp_path, golden["normals"]) == golden
@@ -144,7 +142,6 @@ def _write(path: Path, record: dict) -> None:
 
 
 def regenerate(tmp: Path) -> None:
-    os.environ.pop("SASAKIT_SEED", None)
     GOLDEN.mkdir(exist_ok=True)
     for name, normals in cases().items():
         path = tmp / "diagram.json"

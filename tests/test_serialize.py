@@ -110,7 +110,6 @@ def test_cli_never_runs_the_pure_python_encoder(tmp_path, monkeypatch):
     # json's pure-Python encoder, the one json.dumps uses with an indent,
     # raises while every subcommand prints its golden bytes, or for
     # geodesic-test and family the bytes json.dumps prints
-    monkeypatch.delenv("SASAKIT_SEED", raising=False)
     monkeypatch.setattr(cli, "dumps", reference)
     expected = _subcommand_outputs(tmp_path)
     assert [code for code, _ in expected] == [0, 0] + [0] * len(FAMILY_BUILDERS) + [1]
