@@ -3,17 +3,20 @@
 Subcommands: check, analyze, family, geodesic-test.  All output is JSON on
 stdout (deterministic bytes for fixed input and flags); timings are opt-in
 because they are inherently non-reproducible.  Exit codes partition the
-outcomes: 0 success, 1 input error, 2 not good, 3 no height structure when
-one is required, 4 numerical failure.
+outcomes: 0 success, 1 input error (argparse's usage errors included), 2 not
+good, 3 no height structure when one is required, 4 numerical failure.
+`run` is the process entry; `main` serves library callers.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import math
 import sys
 import time
 from functools import cache
+from gettext import gettext as _
 
 from . import __version__
 from .cones import (
@@ -411,8 +414,18 @@ def cmd_geodesic_test(args) -> int:
     return _emit(out, EXIT_OK)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, with a usage error exiting as an input error (1):
+    argparse's 2 would read as "not good".  Subparsers inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        args = {"prog": self.prog, "message": message}
+        self.exit(EXIT_INPUT, _("%(prog)s: error: %(message)s\n") % args)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sasakit",
         description="Good cones, toric diagrams, topology invariants, and "
         "Reeb volume minimization from facet-normal data.",
@@ -461,5 +474,16 @@ def main(argv=None) -> int:
     return args.func(args)
 
 
+def run(argv=None) -> int:
+    """The process entry (`python -m sasakit.cli`, the `sasakit` script): `main`,
+    then `gc.freeze()`, so the interpreter's full collections at exit skip every
+    object a one-shot process holds.  Library callers use `main`, which never
+    freezes."""
+    try:
+        return main(argv)
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

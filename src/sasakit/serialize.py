@@ -28,10 +28,6 @@ def fraction_to_str(q: Fraction) -> str:
     return str(Fraction(q))
 
 
-def fraction_from_str(s: str) -> Fraction:
-    return Fraction(str(s).replace(" ", ""))
-
-
 def diagram_to_dict(diagram: ToricDiagram, cy: CalabiYauData | None = None) -> dict:
     out = {
         "rank": diagram.rank,
@@ -50,9 +46,10 @@ def _is_int(x) -> bool:
 
 def _gamma_entry(s) -> Fraction:
     # an exponent is refused unread: Fraction("1e100000000") builds 10 ** 100000000
-    if "e" not in str(s).lower():
+    text = str(s)
+    if "e" not in text.lower():
         try:
-            return fraction_from_str(s)
+            return Fraction(text.replace(" ", ""))
         except (ValueError, ZeroDivisionError):
             pass
     raise DiagramError(f'"gamma" entries must be rationals like "-1/2", got {s!r}')

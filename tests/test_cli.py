@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import gc
@@ -9,6 +10,7 @@ import sys
 import tempfile
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,15 +473,104 @@ def test_cli_boundary_fuzz(value):
             assert err.getvalue() == "" and not caught, (argv, caught)
 
 
-def test_console_entry_point_subprocess(tmp_path):
-    path = write_diagram(tmp_path, "lens2.json", lens(2).normals)
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# each exit code, as (argv with {lens2}, {non_cy2}, {sheared} and {missing} for paths,
+# code); sheared: the octant under [[1,0,0],[30,1,0],[0,31,1]], whose inversion stalls
+PROCESS_CASES = [
+    (["check", "{lens2}"], 0),
+    (["analyze", "{lens2}", "--cy", "--topo", "--reeb"], 0),
+    (["family", "lens", "--l", "3"], 0),
+    (["check", "{missing}"], 1),
+    (["analyze", "{lens2}", "--potential-grid", "abc"], 1),
+    (["check", str(GOLDEN / "not-good.json")], 2),
+    (["analyze", "{non_cy2}", "--reeb"], 3),
+    (["geodesic-test", "{sheared}"], 4),
+]
+
+
+def _process_argv(tmp_path, argv):
+    paths = {
+        "lens2": write_diagram(tmp_path, "lens2.json", lens(2).normals),
+        "non_cy2": write_diagram(tmp_path, "non-cy2.json", non_cy(2).normals),
+        "sheared": write_diagram(tmp_path, "sheared.json", [(1, 30, 0), (0, 1, 31), (0, 0, 1)]),
+        "missing": str(tmp_path / "missing.json"),
+    }
+    return [a.format(**paths) for a in argv]
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    PROCESS_CASES,
+    ids=["check", "analyze", "family", "missing", "usage", "not-good", "no-cy", "numerical"],
+)
+def test_console_entry_point_subprocess(tmp_path, capsys, argv, code):
+    # the process entry prints and exits as main does in-process
+    argv = _process_argv(tmp_path, argv)
     proc = subprocess.run(
-        [sys.executable, "-m", "sasakit.cli", "check", path],
+        [sys.executable, "-m", "sasakit.cli", *argv],
         capture_output=True,
         text=True,
     )
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["good"] is True
+    [(in_process, out, err)] = _outputs(capsys, [argv])
+    assert in_process in (code, ("SystemExit", code))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+
+
+def test_run_freezes_once_and_main_never(tmp_path, capsys, monkeypatch):
+    freezes = []
+    monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
+    lens2 = write_diagram(tmp_path, "lens2.json", lens(2).normals)
+    assert main(["check", lens2]) == 0
+    assert freezes == []
+    assert cli.run(["check", lens2]) == 0
+    assert cli.run(["check", str(GOLDEN / "not-good.json")]) == 2
+    assert len(freezes) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["family", "help"])
+    assert exc.value.code == 1
+    assert len(freezes) == 3
+
+
+def test_module_entry_freezes_before_exit(tmp_path):
+    # `python -m sasakit.cli` goes through run: a hook at exit sees the frozen objects
+    script = (
+        "import atexit, gc, runpy, sys\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "runpy.run_module('sasakit.cli', run_name='__main__', alter_sys=True)\n"
+    )
+    lens2 = write_diagram(tmp_path, "lens2.json", lens(2).normals)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "check", lens2], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "True\n")
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is new in Python 3.11")
+def test_installed_script_is_the_process_entry():
+    import tomllib
+
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    assert scripts["sasakit"] == "sasakit.cli:run"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{lens2}", "--potential-grid", "abc"],
+        ["analyze"],
+        ["analyze", "{lens2}", "--bogus"],
+    ],
+    ids=["bad-int", "no-path", "unknown-flag"],
+)
+def test_usage_error_is_input_error(tmp_path, capsys, monkeypatch, argv):
+    # exit 1, not argparse's 2 (which reads as "not good"), with argparse's stderr
+    argv = _process_argv(tmp_path, argv)
+    [(code, out, err)] = _outputs(capsys, [argv])
+    assert code == ("SystemExit", 1) and out == ""
+    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    assert _outputs(capsys, [argv]) == [(("SystemExit", 2), "", err)]
 
 
 def test_diagram_roundtrip_through_json(tmp_path):
@@ -606,7 +697,7 @@ def test_geodesic_test_t_outside_open_interval_is_input_error(tmp_path, capsys, 
 def test_family_help_is_an_unknown_family(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["family", "help"])
-    assert exc.value.code == 2
+    assert exc.value.code == 1
     assert "invalid choice" in capsys.readouterr().err
 
 
@@ -755,7 +846,7 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     reused = _outputs(capsys, calls)
     monkeypatch.setattr(cli, "_parser", cli.build_parser)
     assert reused == _outputs(capsys, calls)
-    assert [code for code, _, _ in reused] == [0, 0, 0, 0, ("SystemExit", 2), 0]
+    assert [code for code, _, _ in reused] == [0, 0, 0, 0, ("SystemExit", 1), 0]
     assert "scan_points" in reused[0][1] and "scan_points" not in reused[1][1]
 
 
