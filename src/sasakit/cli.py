@@ -4,19 +4,25 @@ Subcommands: check, analyze, family, geodesic-test.  All output is JSON on
 stdout (deterministic bytes for fixed input and flags); timings are opt-in
 because they are inherently non-reproducible.  Exit codes partition the
 outcomes: 0 success, 1 input error (argparse's usage errors included), 2 not
-good, 3 no height structure when one is required, 4 numerical failure.
-`run` is the process entry; `main` serves library callers.
+good, 3 no height structure when one is required, 4 numerical failure, 141
+(128 + SIGPIPE) stdout closed by its reader.  `run` is the process entry;
+`main` serves library callers.
+
+Each subcommand and its arguments are declared once, in `_COMMANDS`.
+`_read_argv` reads an argv made of exact names and plain values from that
+table.  argparse, built from the same table and imported only when needed,
+reads every other argv and prints every help, version and usage message.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import math
+import os
 import sys
 import time
 from functools import cache
-from gettext import gettext as _
+from types import SimpleNamespace
 
 from . import __version__
 from .cones import (
@@ -46,6 +52,7 @@ EXIT_INPUT = 1
 EXIT_NOT_GOOD = 2
 EXIT_NO_CY = 3
 EXIT_NUMERICAL = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a process SIGPIPE ended
 
 # the two perturbed starts of --reeb: the first four draws of
 # random.Random(0).uniform(-0.5, 0.5), so the output never varies
@@ -81,6 +88,8 @@ def __getattr__(name):
     if name in _POTENTIALS:
         _load_potentials()
         return globals()[name]
+    if name == "_Parser":
+        return _parser_class()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -414,55 +423,134 @@ def cmd_geodesic_test(args) -> int:
     return _emit(out, EXIT_OK)
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser, with a usage error exiting as an input error (1):
-    argparse's 2 would read as "not good".  Subparsers inherit the class."""
+# Every subcommand, declared once: its help, its handler and its arguments,
+# each with the keywords of argparse's add_argument.  build_parser hands them
+# to argparse; _read_argv applies the actions store_true and append, `type`,
+# `choices` and `default` itself, so a keyword beyond these needs it taught.
+_COMMANDS = {
+    "check": ("validate a diagram and decide goodness", cmd_check, {"path": {}}),
+    "analyze": (
+        "run the full pipeline on a diagram",
+        cmd_analyze,
+        {
+            "path": {},
+            "--cy": {"action": "store_true", "help": "height structure stage"},
+            "--topo": {"action": "store_true", "help": "topology stage"},
+            "--reeb": {"action": "store_true", "help": "volume minimization stage"},
+            "--potential-grid": {"type": int, "metavar": "N"},
+            "--grid-out": {"metavar": "PATH"},
+            "--scan": {"action": "append", "metavar": "X1,X2,X3"},
+            "--scan-out": {"metavar": "PATH"},
+            "--emit-svg": {"metavar": "PATH"},
+            "--timings": {"action": "store_true"},
+        },
+    ),
+    "family": (
+        "emit a built-in diagram family member",
+        cmd_family,
+        {
+            "family": {"choices": sorted(FAMILY_BUILDERS), "metavar": "FAMILY"},
+            "--l": {"type": int},
+            "--r": {"type": int},
+            "--s": {"type": int},
+        },
+    ),
+    "geodesic-test": (
+        "run the potential residual suite on a diagram",
+        cmd_geodesic_test,
+        {"path": {}, "--t": {"type": float, "default": 0.4}},
+    ),
+}
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        args = {"prog": self.prog, "message": message}
-        self.exit(EXIT_INPUT, _("%(prog)s: error: %(message)s\n") % args)
+
+def _value(token: str, spec: dict):
+    """`token` as the argument's type and choices read it, or None when it
+    starts with "-" or they refuse it."""
+    if token.startswith("-"):
+        return None
+    try:
+        value = spec.get("type", str)(token)
+    except (TypeError, ValueError):
+        return None
+    if "choices" in spec and value not in spec["choices"]:
+        return None
+    return value
+
+
+def _read_argv(argv) -> SimpleNamespace | None:
+    """The namespace argparse returns for `argv`, or None for argparse to read.
+
+    It reads the exact subcommand, exact long option names, each option's
+    value as the next token and the positionals in number.  Anything else
+    gives None: -h, --help, --version, --opt=value, an abbreviation, --, a
+    value or extra token starting with "-", a missing or extra positional,
+    a value the type or choices refuse.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    _, func, arguments = _COMMANDS[argv[0]]
+    values = {
+        name: False if spec.get("action") == "store_true" else spec.get("default")
+        for name, spec in arguments.items()
+    }
+    positionals = [name for name in arguments if not name.startswith("-")]
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        spec = arguments.get(token)
+        if spec is None:
+            return None
+        if spec.get("action") == "store_true":
+            values[token] = True
+            continue
+        value = _value(next(tokens, "-"), spec)  # no value left reads as "-"
+        if value is None:
+            return None
+        values[token] = [*(values[token] or ()), value] if spec.get("action") == "append" else value
+    if len(given) != len(positionals):
+        return None
+    for name, token in zip(positionals, given):
+        values[name] = _value(token, arguments[name])
+        if values[name] is None:
+            return None
+    dests = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return SimpleNamespace(command=argv[0], func=func, **dests)
+
+
+@cache
+def _parser_class():
+    """`cli._Parser`: argparse's parser, with a usage error exiting as an
+    input error (1), since argparse's 2 would read as "not good".  Subparsers
+    inherit the class.  Defined on first use, so that argparse and gettext
+    load only for an argv `_read_argv` leaves to them."""
+    import argparse
+    from gettext import gettext as _
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message):
+            self.print_usage(sys.stderr)
+            args = {"prog": self.prog, "message": message}
+            self.exit(EXIT_INPUT, _("%(prog)s: error: %(message)s\n") % args)
+
+    return _Parser
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = _parser_class()(
         prog="sasakit",
         description="Good cones, toric diagrams, topology invariants, and "
         "Reeb volume minimization from facet-normal data.",
     )
     parser.add_argument("--version", action="version", version=f"sasakit {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_check = sub.add_parser("check", help="validate a diagram and decide goodness")
-    p_check.add_argument("path")
-    p_check.set_defaults(func=cmd_check)
-
-    p_an = sub.add_parser("analyze", help="run the full pipeline on a diagram")
-    p_an.add_argument("path")
-    p_an.add_argument("--cy", action="store_true", help="height structure stage")
-    p_an.add_argument("--topo", action="store_true", help="topology stage")
-    p_an.add_argument("--reeb", action="store_true", help="volume minimization stage")
-    p_an.add_argument("--potential-grid", type=int, metavar="N")
-    p_an.add_argument("--grid-out", metavar="PATH")
-    p_an.add_argument("--scan", action="append", metavar="X1,X2,X3")
-    p_an.add_argument("--scan-out", metavar="PATH")
-    p_an.add_argument("--emit-svg", metavar="PATH")
-    p_an.add_argument("--timings", action="store_true")
-    p_an.set_defaults(func=cmd_analyze)
-
-    p_fam = sub.add_parser("family", help="emit a built-in diagram family member")
-    p_fam.add_argument("family", choices=sorted(FAMILY_BUILDERS), metavar="FAMILY")
-    p_fam.add_argument("--l", type=int)
-    p_fam.add_argument("--r", type=int)
-    p_fam.add_argument("--s", type=int)
-    p_fam.set_defaults(func=cmd_family)
-
-    p_geo = sub.add_parser(
-        "geodesic-test", help="run the potential residual suite on a diagram"
-    )
-    p_geo.add_argument("path")
-    p_geo.add_argument("--t", type=float, default=0.4)
-    p_geo.set_defaults(func=cmd_geodesic_test)
+    for command, (help_text, func, arguments) in _COMMANDS.items():
+        p_command = sub.add_parser(command, help=help_text)
+        for name, spec in arguments.items():
+            p_command.add_argument(name, **spec)
+        p_command.set_defaults(func=func)
     return parser
 
 
@@ -470,17 +558,27 @@ _parser = cache(build_parser)  # main's one parser per process; parse_args leave
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_argv(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     return args.func(args)
 
 
 def run(argv=None) -> int:
     """The process entry (`python -m sasakit.cli`, the `sasakit` script): `main`,
     then `gc.freeze()`, so the interpreter's full collections at exit skip every
-    object a one-shot process holds.  Library callers use `main`, which never
-    freezes."""
+    object a one-shot process holds.  A stdout closed by its reader exits 141
+    with nothing on stderr.  Library callers use `main`, which never freezes."""
     try:
-        return main(argv)
+        try:
+            return main(argv)
+        finally:
+            sys.stdout.flush()  # a closed pipe raises here, not at the exit's flush
+    except BrokenPipeError:
+        # what is left goes to devnull, so the flush at exit raises no more
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     finally:
         gc.freeze()
 

@@ -4,6 +4,7 @@ import csv
 import gc
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import sasakit
 from sasakit import cli, cones, cy as cy_module, reeb
 from sasakit.cli import main
 from sasakit.cones import ToricDiagram
@@ -517,6 +519,33 @@ def test_console_entry_point_subprocess(tmp_path, capsys, argv, code):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["check", "{lens2}"], ["family", "main4-even", "--r", "300", "--s", "0"]],
+    ids=["check", "large"],
+)
+def test_closed_stdout_exits_141_quietly(tmp_path, argv, unbuffered):
+    # the reader of stdout is gone before the process starts: the write (of
+    # a large output) or the flush (of a small one) meets a broken pipe
+    argv = _process_argv(tmp_path, argv)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sasakit.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
+
+
 def test_run_freezes_once_and_main_never(tmp_path, capsys, monkeypatch):
     freezes = []
     monkeypatch.setattr(gc, "freeze", lambda: freezes.append(1))
@@ -571,6 +600,176 @@ def test_usage_error_is_input_error(tmp_path, capsys, monkeypatch, argv):
     assert code == ("SystemExit", 1) and out == ""
     monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
     assert _outputs(capsys, [argv]) == [(("SystemExit", 2), "", err)]
+
+
+# sasakit's help and version bytes at 80 columns, as argparse prints them
+HELP = {
+    "": """\
+usage: sasakit [-h] [--version] {check,analyze,family,geodesic-test} ...
+
+Good cones, toric diagrams, topology invariants, and Reeb volume minimization
+from facet-normal data.
+
+positional arguments:
+  {check,analyze,family,geodesic-test}
+    check               validate a diagram and decide goodness
+    analyze             run the full pipeline on a diagram
+    family              emit a built-in diagram family member
+    geodesic-test       run the potential residual suite on a diagram
+
+options:
+  -h, --help            show this help message and exit
+  --version             show program's version number and exit
+""",
+    "check": """\
+usage: sasakit check [-h] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help  show this help message and exit
+""",
+    "analyze": """\
+usage: sasakit analyze [-h] [--cy] [--topo] [--reeb] [--potential-grid N]
+                       [--grid-out PATH] [--scan X1,X2,X3] [--scan-out PATH]
+                       [--emit-svg PATH] [--timings]
+                       path
+
+positional arguments:
+  path
+
+options:
+  -h, --help          show this help message and exit
+  --cy                height structure stage
+  --topo              topology stage
+  --reeb              volume minimization stage
+  --potential-grid N
+  --grid-out PATH
+  --scan X1,X2,X3
+  --scan-out PATH
+  --emit-svg PATH
+  --timings
+""",
+    "family": """\
+usage: sasakit family [-h] [--l L] [--r R] [--s S] FAMILY
+
+positional arguments:
+  FAMILY
+
+options:
+  -h, --help  show this help message and exit
+  --l L
+  --r R
+  --s S
+""",
+    "geodesic-test": """\
+usage: sasakit geodesic-test [-h] [--t T] path
+
+positional arguments:
+  path
+
+options:
+  -h, --help  show this help message and exit
+  --t T
+""",
+}
+
+
+@pytest.mark.parametrize("command", HELP, ids=["sasakit", *list(HELP)[1:]])
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_bytes(capsys, monkeypatch, command, flag):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [command, flag] if command else [flag]
+    assert _outputs(capsys, [argv]) == [(("SystemExit", 0), HELP[command], "")]
+
+
+def test_version_bytes(capsys):
+    version = f"sasakit {sasakit.__version__}\n"
+    assert _outputs(capsys, [["--version"]]) == [(("SystemExit", 0), version, "")]
+
+
+OPTION_NAMES = sorted({name for _, _, args in cli._COMMANDS.values() for name in args if name[0] == "-"})
+VALUES = ["3", "0", "nan", "abc", "", "1,2,3", "lens", "main4-even", "help", "x.json", "a b.json"]
+ARGV_TOKENS = st.sampled_from(
+    [*cli._COMMANDS, *OPTION_NAMES, *VALUES, "-5", "-0.5", " -5", "-x y", "dir/x.json"]
+    + ["-h", "--help", "--version", "--", "-"]
+    + sorted({name[:k] for name in OPTION_NAMES for k in range(3, len(name))})
+) | st.builds("{}={}".format, st.sampled_from(OPTION_NAMES), st.sampled_from(VALUES))
+
+
+@st.composite
+def argvs(draw):
+    """A command, its positionals and some of its options, each a value from
+    VALUES where it takes one, in any order; then up to two tokens of the
+    whole alphabet put anywhere."""
+    command = draw(st.sampled_from(list(cli._COMMANDS)))
+    arguments = cli._COMMANDS[command][2]
+    options = [name for name in arguments if name[0] == "-"]
+    units = [[draw(st.sampled_from(VALUES))] for name in arguments if name[0] != "-"]
+    for name in draw(st.lists(st.sampled_from(options), max_size=4)) if options else ():
+        flag = arguments[name].get("action") == "store_true"
+        units.append([name] if flag else [name, draw(st.sampled_from(VALUES))])
+    argv = [command, *(token for unit in draw(st.permutations(units)) for token in unit)]
+    for _ in range(draw(st.integers(0, 2))):
+        argv.insert(draw(st.integers(0, len(argv))), draw(ARGV_TOKENS))
+    return argv
+
+
+def _comparable(namespace):
+    """vars(namespace), with floats by repr: nan != nan."""
+    return {k: repr(v) if isinstance(v, float) else v for k, v in vars(namespace).items()}
+
+
+def _argparse_vars(argv):
+    """_comparable of a fresh argparse parse of argv, or None where argparse exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return _comparable(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(argvs())
+@example(["analyze", "x.json", "--cy", "--scan", "1,2,3", "--scan", "abc", "--potential-grid", "3"])
+@example(["family", "--l", "3", "lens", "--s", "0", "--l", "-5"])
+@example(["geodesic-test", "a b.json", "--t", "nan"])
+def test_reader_agrees_with_argparse(argv):
+    # the plain-argv reader returns argparse's namespace or leaves argv to it
+    read = cli._read_argv(argv)
+    if read is not None:
+        assert _comparable(read) == _argparse_vars(argv)
+
+
+def _readme_commands():
+    """The `sasakit ...` lines of README.md's command-line block, as argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#")[0].split(">")[0] for line in block.splitlines()]
+    return [line.split()[1:] for line in lines if line.startswith("sasakit ")]
+
+
+def test_documented_and_benchmark_argv_build_no_parser(tmp_path, capsys, monkeypatch):
+    def refuse():
+        raise AssertionError("argparse's parser was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    monkeypatch.setattr(cli, "_parser", refuse)
+    monkeypatch.chdir(tmp_path)
+    write_diagram(tmp_path, "lens2.json", lens(2).normals)
+    write_diagram(tmp_path, "z5.json", z5_lens().normals)
+    readme = _readme_commands()
+    assert len(readme) == 7
+    benchmark = [
+        ["analyze", "lens2.json", "--cy", "--topo", "--reeb"],
+        ["analyze", "lens2.json", "--cy", "--topo", "--reeb", "--potential-grid", "12",
+         "--grid-out", "grid.csv"],
+        ["analyze", "lens2.json", "--reeb", "--scan", "1,2,3", "--scan-out", "scan.csv"],
+        ["family", "main4-even", "--r", "2", "--s", "1"],
+    ]
+    for argv in readme + benchmark:
+        assert main(argv) == 0, argv
 
 
 def test_diagram_roundtrip_through_json(tmp_path):

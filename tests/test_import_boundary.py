@@ -4,10 +4,13 @@ no module it does not use.
 `check`, `analyze --cy --topo --reeb` and `--scan` are exact or plain-float
 work; importing numpy would be most of a cold process.  No command loads
 `dataclasses` (with `inspect`, which numpy alone brings in) or `csv`: both
-CSV writers format their rows themselves.  Each command runs in a fresh
-interpreter, which then reports which of these modules were imported.  The lazily bound names must still be the `sasakit.potentials`
-objects, and the grid path must call them through `sasakit.cli`'s
-attributes, where perfbench/tracing.py puts its wrappers.
+CSV writers format their rows themselves.  No plain command line loads
+`argparse`, `gettext` or `locale`: `sasakit.cli` reads it from its own
+option table, and argparse is imported only for help, version and usage
+errors.  Each command runs in a fresh interpreter, which then reports which
+of these modules were imported.  The lazily bound names must still be the
+`sasakit.potentials` objects, and the grid path must call them through
+`sasakit.cli`'s attributes, where perfbench/tracing.py puts its wrappers.
 """
 
 import json
@@ -25,7 +28,7 @@ from sasakit.serialize import dumps
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-WATCHED = ("numpy", "dataclasses", "inspect", "csv")
+WATCHED = ("numpy", "dataclasses", "inspect", "csv", "argparse", "gettext", "locale")
 
 # runs cli.main on argv, then prints which WATCHED modules are in sys.modules
 SCRIPT = f"""
