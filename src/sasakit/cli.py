@@ -19,6 +19,7 @@ from __future__ import annotations
 import gc
 import math
 import os
+import stat
 import sys
 import time
 from functools import cache
@@ -35,7 +36,7 @@ from .cones import (
 from .cy import compute_gamma, kernel_lattice, normalize_height
 from .errors import NotNormalized, SasakitError, WrongRank
 from .families import FAMILY_BUILDERS
-from .reeb import minimize_volume, truncated_polytope, volume
+from .reeb import _ray_scales, minimize_volume, volume
 from .serialize import (
     PRECISION,
     FLOAT_FORMAT,
@@ -104,9 +105,10 @@ def _tool_block() -> dict:
 
 def _interior_sample(diagram: ToricDiagram) -> np.ndarray:
     _load_potentials()
+    # the cap vertices of the float canonical Reeb slice, each ray over its pairing
+    rays, scales = _ray_scales(diagram, [float(x) for x in canonical_reeb(diagram)])
+    cap = np.array([[r / s for r in ray] for ray, s in zip(rays, scales)])
     # not sum(): np.mean adds pairwise, which changes the bytes from 8 cap vertices on
-    poly = truncated_polytope(diagram, [float(x) for x in canonical_reeb(diagram)])
-    cap = np.array([[float(c) for c in v] for v in poly.cap_vertices])
     return cap.mean(axis=0)
 
 
@@ -198,15 +200,37 @@ def _emit_svg(diagram: ToricDiagram, path: str) -> None:
             f'font-family="monospace">({p},{q})</text>'
         )
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_file(path, "\n".join(lines) + "\n")
+
+
+def _write_file(path: str, text: str) -> None:
+    """`text` in UTF-8 over the file at `path`, which is made with mode
+    0o666 & ~umask when missing: every file sasakit writes comes through here.
+
+    The file is overwritten in place, not truncated to empty first (on ext4
+    that made a small rewrite several times slower), and a regular file is
+    then cut to the bytes written, also when a write fails part-way, so it
+    never keeps a byte of its old content.  Other targets (/dev/null, a pipe)
+    refuse the cut and take none.
+    """
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_CLOEXEC, 0o666)
+    try:
+        written = 0
+        try:
+            while written < len(data):
+                written += os.write(fd, data[written:])
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _write_csv(path: str, header: list[str], lines: list[str]) -> None:
     """The header and the comma-joined lines, each ended by CRLF: the bytes the
     csv module's default dialect writes for fields that need no quoting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join([",".join(header), *lines, ""]))
+    _write_file(path, "\r\n".join([",".join(header), *lines, ""]))
 
 
 def _write_grid_csv(diagram: ToricDiagram, n: int, path: str) -> int:
@@ -530,6 +554,14 @@ def _parser_class():
     from gettext import gettext as _
 
     class _Parser(argparse.ArgumentParser):
+        def _print_message(self, message, file=None):
+            # argparse's own swallows an OSError: help or version into a
+            # closed stdout would exit 0.  This one lets it reach `run`.
+            if message and file is not None and file is sys.stdout:
+                file.write(message)
+            else:
+                super()._print_message(message, file)
+
         def error(self, message):
             self.print_usage(sys.stderr)
             args = {"prog": self.prog, "message": message}

@@ -283,14 +283,6 @@ def is_primitive(v) -> bool:
     return g == 1
 
 
-def make_primitive(v) -> IntVector:
-    v = _as_int_vector(v)
-    g = gcd(*v)
-    if g == 0:
-        raise ValueError("zero vector")
-    return tuple(x // g for x in v)
-
-
 def complete_to_unimodular(v) -> IntMatrix:
     """Find A in SL(n, Z) with A @ v == (-1, 0, ..., 0).
 

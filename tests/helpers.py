@@ -31,9 +31,18 @@ from sasakit.cy import compute_gamma, normalize_height
 from sasakit.lattice import (
     IntMatrix,
     IntVector,
-    make_primitive,
+    _as_int_vector,
     smith_normal_form,
 )
+
+
+def make_primitive(v) -> IntVector:
+    """The primitive integer vector on the ray of a nonzero integer v."""
+    v = _as_int_vector(v)
+    g = gcd(*v)
+    if g == 0:
+        raise ValueError("zero vector")
+    return tuple(x // g for x in v)
 
 
 def octant():

@@ -1,11 +1,13 @@
 import argparse
 import contextlib
 import csv
+import errno
 import gc
 import io
 import json
 import os
 import random
+import stat
 import subprocess
 import sys
 import tempfile
@@ -339,6 +341,151 @@ def test_analyze_output_boundary_is_input_error(tmp_path, capsys, flags):
     assert not (tmp_path / "grid.csv").exists()
 
 
+# each file analyze writes: its flags, with {out} for the path
+OUTPUTS = {
+    "grid": ["--potential-grid", "12", "--grid-out", "{out}"],
+    "scan": ["--reeb", "--scan", "2,2,2", "--scan-out", "{out}"],
+    "svg": ["--emit-svg", "{out}"],
+}
+
+
+def _analyze_into(tmp_path, capsys, output, out):
+    """analyze on z5-lens writing `output` to `out`: the exit code and the
+    captured streams."""
+    path = write_diagram(tmp_path, "z5.json", z5_lens().normals)
+    code = main(["analyze", path, *(f.format(out=out) for f in OUTPUTS[output])])
+    return code, capsys.readouterr()
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_output_overwrites_a_longer_file_in_place(tmp_path, capsys, output):
+    # a shorter output over an existing file keeps none of its old bytes and
+    # equals the output to a fresh path; the file keeps its mode
+    fresh = tmp_path / "fresh"
+    assert _analyze_into(tmp_path, capsys, output, fresh)[0] == 0
+    new = fresh.read_bytes()
+    old = tmp_path / "old"
+    old.write_bytes(b"\xff" * (3 * len(new)))
+    old.chmod(0o600)
+    assert _analyze_into(tmp_path, capsys, output, old)[0] == 0
+    assert old.read_bytes() == new
+    assert stat.S_IMODE(old.stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_output_to_a_target_that_refuses_truncation(tmp_path, capsys, output):
+    # /dev/null and a pipe refuse ftruncate with EINVAL: they take none, and
+    # the pipe's reader gets the bytes a fresh file holds
+    fresh = tmp_path / "fresh"
+    assert _analyze_into(tmp_path, capsys, output, fresh)[0] == 0
+    code, captured = _analyze_into(tmp_path, capsys, output, os.devnull)
+    assert (code, captured.err) == (0, "")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open returns
+    try:
+        code, captured = _analyze_into(tmp_path, capsys, output, fifo)
+        assert (code, captured.err) == (0, "")
+        assert os.read(reader, 1 << 16) == fresh.read_bytes()
+    finally:
+        os.close(reader)
+
+
+def _recorded_opens(monkeypatch):
+    """A list that gets the path, flags and fd of every os.open from now on."""
+    opened = []
+    real_open = os.open
+
+    def recording_open(path, flags, *args, **kwargs):
+        fd = real_open(path, flags, *args, **kwargs)
+        opened.append((os.fspath(path), flags, fd))
+        return fd
+
+    monkeypatch.setattr(os, "open", recording_open)
+    return opened
+
+
+def test_outputs_open_without_truncation(tmp_path, capsys, monkeypatch):
+    # every file analyze writes is opened once through os.open, and no open
+    # for writing asks the kernel to truncate
+    outs = {name: tmp_path / name for name in OUTPUTS}
+    for out in outs.values():
+        out.write_bytes(b"old")
+    path = write_diagram(tmp_path, "z5.json", z5_lens().normals)
+    flags = [f.format(out=outs[name]) for name in OUTPUTS for f in OUTPUTS[name]]
+    opened = _recorded_opens(monkeypatch)
+    assert main(["analyze", path, *flags]) == 0
+    writes = [(p, f) for p, f, _ in opened if f & (os.O_WRONLY | os.O_RDWR)]
+    assert sorted(p for p, _ in writes) == sorted(map(str, outs.values()))
+    assert [f & os.O_TRUNC for _, f in writes] == [0, 0, 0]
+
+
+def _writes_to(path, monkeypatch, write):
+    """Route every os.write to the file opened at `path` through
+    `write(real_write, fd, data)`."""
+    opened = _recorded_opens(monkeypatch)
+    real_write = os.write
+
+    def routed(fd, data):
+        if (str(path), fd) in ((p, f) for p, _, f in opened):
+            return write(real_write, fd, data)
+        return real_write(fd, data)
+
+    monkeypatch.setattr(os, "write", routed)
+
+
+def test_partial_writes_are_resumed(tmp_path, capsys, monkeypatch):
+    fresh = tmp_path / "fresh.csv"
+    assert _analyze_into(tmp_path, capsys, "grid", fresh)[0] == 0
+    grid = tmp_path / "grid.csv"
+    sizes = []
+
+    def short_write(real_write, fd, data):
+        sizes.append(real_write(fd, bytes(data[:7])))
+        return sizes[-1]
+
+    _writes_to(grid, monkeypatch, short_write)
+    assert _analyze_into(tmp_path, capsys, "grid", grid)[0] == 0
+    assert grid.read_bytes() == fresh.read_bytes()
+    assert len(sizes) == -(-len(fresh.read_bytes()) // 7)
+
+
+def test_failed_write_leaves_a_prefix_of_the_new_bytes(tmp_path, capsys, monkeypatch):
+    # the first write takes one chunk, the next fails: exit 1 with error JSON,
+    # and the file holds that chunk and no byte of its old content
+    fresh = tmp_path / "fresh.csv"
+    assert _analyze_into(tmp_path, capsys, "grid", fresh)[0] == 0
+    new = fresh.read_bytes()
+    grid = tmp_path / "grid.csv"
+    grid.write_bytes(b"\xff" * (3 * len(new)))
+    calls = []
+
+    def failing_write(real_write, fd, data):
+        calls.append(fd)
+        if len(calls) > 1:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return real_write(fd, bytes(data[:100]))
+
+    _writes_to(grid, monkeypatch, failing_write)
+    code, captured = _analyze_into(tmp_path, capsys, "grid", grid)
+    assert (code, captured.err) == (1, "")
+    assert json.loads(captured.out)["error"] == f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+    assert len(calls) == 2
+    assert grid.read_bytes() == new[:100]
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
+def test_new_output_mode_follows_umask(tmp_path, capsys, output):
+    out = tmp_path / "out"
+    umask = os.umask(0o002)
+    try:
+        code, _ = _analyze_into(tmp_path, capsys, output, out)
+    finally:
+        os.umask(umask)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~0o002 == 0o664
+
+
 def test_analyze_svg_requires_height1(tmp_path, capsys):
     path = write_diagram(tmp_path, "lens2.json", lens(2).normals)
     code, _ = run(capsys, ["analyze", path, "--emit-svg", str(tmp_path / "x.svg")])
@@ -522,12 +669,18 @@ def test_console_entry_point_subprocess(tmp_path, capsys, argv, code):
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",
-    [["check", "{lens2}"], ["family", "main4-even", "--r", "300", "--s", "0"]],
-    ids=["check", "large"],
+    [
+        ["check", "{lens2}"],
+        ["family", "main4-even", "--r", "300", "--s", "0"],
+        ["-h"],
+        ["--version"],
+    ],
+    ids=["check", "large", "help", "version"],
 )
 def test_closed_stdout_exits_141_quietly(tmp_path, argv, unbuffered):
     # the reader of stdout is gone before the process starts: the write (of
-    # a large output) or the flush (of a small one) meets a broken pipe
+    # a large output, or of any output when unbuffered, argparse's help and
+    # version included) or the flush (of a small one) meets a broken pipe
     argv = _process_argv(tmp_path, argv)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})
@@ -1030,21 +1183,35 @@ def _outputs(capsys, calls):
 def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
     # one parser serves every call with the bytes a fresh one gives: an
     # append action, a switch of subcommand and an argparse exit leave no
-    # state behind for the next call
+    # state behind for the next call.  Each argv is one the plain reader
+    # leaves to argparse: --opt=value, an abbreviation, a usage error.
     path = write_diagram(tmp_path, "m4.json", main4_even(2, 1).normals)
-    scan = ["--scan", "1,0,0", "--scan", "0,1,0", "--scan-out", str(tmp_path / "scan.csv")]
+    scan = ["--scan=1,0,0", "--scan=0,1,0", "--scan-out", str(tmp_path / "scan.csv")]
     calls = [
         ["analyze", path, "--reeb", *scan],
-        ["analyze", path, "--reeb"],
-        ["family", "main4-even", "--r", "2", "--s", "1"],
-        ["geodesic-test", path],
+        ["analyze", path, "--ree"],
+        ["family", "main4-even", "--r=2", "--s", "1"],
+        ["geodesic-test", path, "--t=0.4"],
         ["family", "help"],
-        ["analyze", path, "--cy", "--topo"],
+        ["analyze", path, "--cy", "--to"],
     ]
+    assert [cli._read_argv(argv) for argv in calls] == [None] * len(calls)
     assert cli._parser() is cli._parser() is not cli.build_parser()
+    parsers = []
+
+    def counted(make):
+        def parser():
+            parsers.append(make())
+            return parsers[-1]
+
+        return parser
+
+    monkeypatch.setattr(cli, "_parser", counted(cli._parser))
     reused = _outputs(capsys, calls)
-    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert len(parsers) == len(calls) and len(set(map(id, parsers))) == 1
+    monkeypatch.setattr(cli, "_parser", counted(cli.build_parser))
     assert reused == _outputs(capsys, calls)
+    assert len(parsers) == 2 * len(calls) and len(set(map(id, parsers))) == 1 + len(calls)
     assert [code for code, _, _ in reused] == [0, 0, 0, 0, ("SystemExit", 1), 0]
     assert "scan_points" in reused[0][1] and "scan_points" not in reused[1][1]
 

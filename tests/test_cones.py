@@ -30,11 +30,12 @@ from sasakit import (
 
 from sasakit import cones
 from sasakit.cones import cone_skeleton, height_covector
-from sasakit.lattice import IntMatrix, make_primitive
+from sasakit.lattice import IntMatrix
 
 from helpers import (
     _fm_feasible,
     gamma_oracle,
+    make_primitive,
     octant,
     random_convex_height1_diagram,
     random_sl3,

@@ -11,12 +11,16 @@ from sasakit.lattice import (
     _as_int_vector,
     complete_to_unimodular,
     is_primitive,
-    make_primitive,
     smith_normal_form,
     sublattice_saturation_equal,
 )
 
-from helpers import completion_oracle, invariant_factors_via_minors, saturation_box_oracle
+from helpers import (
+    completion_oracle,
+    invariant_factors_via_minors,
+    make_primitive,
+    saturation_box_oracle,
+)
 
 
 def test_as_int_vector_contract():
