@@ -4,9 +4,9 @@ Subcommands: check, analyze, family, geodesic-test.  All output is JSON on
 stdout (deterministic bytes for fixed input and flags); timings are opt-in
 because they are inherently non-reproducible.  Exit codes partition the
 outcomes: 0 success, 1 input error (argparse's usage errors included), 2 not
-good, 3 no height structure when one is required, 4 numerical failure, 141
-(128 + SIGPIPE) stdout closed by its reader.  `run` is the process entry;
-`main` serves library callers.
+good, 3 no height structure when one is required, 4 numerical failure, 5
+stdout not written (a full disk), 141 (128 + SIGPIPE) stdout closed by its
+reader.  `run` is the process entry; `main` serves library callers.
 
 Each subcommand and its arguments are declared once, in `_COMMANDS`.
 `_read_argv` reads an argv made of exact names and plain values from that
@@ -36,7 +36,7 @@ from .cones import (
 from .cy import compute_gamma, kernel_lattice, normalize_height
 from .errors import NotNormalized, SasakitError, WrongRank
 from .families import FAMILY_BUILDERS
-from .reeb import _ray_scales, minimize_volume, volume
+from .reeb import minimize_volume, truncated_polytope, volume
 from .serialize import (
     PRECISION,
     FLOAT_FORMAT,
@@ -53,6 +53,7 @@ EXIT_INPUT = 1
 EXIT_NOT_GOOD = 2
 EXIT_NO_CY = 3
 EXIT_NUMERICAL = 4
+EXIT_STDOUT = 5  # stdout could not be written, other than a closed pipe
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: what a shell reports for a process SIGPIPE ended
 
 # the two perturbed starts of --reeb: the first four draws of
@@ -105,11 +106,10 @@ def _tool_block() -> dict:
 
 def _interior_sample(diagram: ToricDiagram) -> np.ndarray:
     _load_potentials()
-    # the cap vertices of the float canonical Reeb slice, each ray over its pairing
-    rays, scales = _ray_scales(diagram, [float(x) for x in canonical_reeb(diagram)])
-    cap = np.array([[r / s for r in ray] for ray, s in zip(rays, scales)])
+    # a float Reeb vector makes every cap vertex entry a float already
+    poly = truncated_polytope(diagram, [float(x) for x in canonical_reeb(diagram)])
     # not sum(): np.mean adds pairwise, which changes the bytes from 8 cap vertices on
-    return cap.mean(axis=0)
+    return np.array(poly.cap_vertices).mean(axis=0)
 
 
 def _emit(out: dict, code: int, t_start: float | None = None) -> int:
@@ -208,10 +208,12 @@ def _write_file(path: str, text: str) -> None:
     0o666 & ~umask when missing: every file sasakit writes comes through here.
 
     The file is overwritten in place, not truncated to empty first (on ext4
-    that made a small rewrite several times slower), and a regular file is
-    then cut to the bytes written, also when a write fails part-way, so it
-    never keeps a byte of its old content.  Other targets (/dev/null, a pipe)
-    refuse the cut and take none.
+    that made a small rewrite several times slower), and a regular file left
+    longer than the bytes written is then cut to them, also when a write
+    fails part-way.  So, absent a crash, it keeps no byte of its old content.
+    A crash can: the cut may reach the disk before the overwritten blocks
+    do, which truncating first would not allow.  Other targets (/dev/null, a
+    pipe) refuse the cut and take none.
     """
     data = memoryview(text.encode("utf-8"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_CLOEXEC, 0o666)
@@ -221,7 +223,8 @@ def _write_file(path: str, text: str) -> None:
             while written < len(data):
                 written += os.write(fd, data[written:])
         finally:
-            if stat.S_ISREG(os.fstat(fd).st_mode):
+            st = os.fstat(fd)
+            if stat.S_ISREG(st.st_mode) and st.st_size > written:
                 os.ftruncate(fd, written)
     finally:
         os.close(fd)
@@ -601,16 +604,25 @@ def run(argv=None) -> int:
     """The process entry (`python -m sasakit.cli`, the `sasakit` script): `main`,
     then `gc.freeze()`, so the interpreter's full collections at exit skip every
     object a one-shot process holds.  A stdout closed by its reader exits 141
-    with nothing on stderr.  Library callers use `main`, which never freezes."""
+    with nothing on stderr; any other error writing stdout (a full disk)
+    exits 5 with one line on stderr.  Every output file is handled inside
+    `main`, so an OSError that reaches here is stdout's.  Library callers use
+    `main`, which never freezes."""
     try:
         try:
             return main(argv)
         finally:
             sys.stdout.flush()  # a closed pipe raises here, not at the exit's flush
-    except BrokenPipeError:
+    except OSError as exc:
         # what is left goes to devnull, so the flush at exit raises no more
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_BROKEN_PIPE
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        try:
+            print(f"sasakit: error: cannot write stdout: {exc}", file=sys.stderr)
+        except OSError:
+            pass
+        return EXIT_STDOUT
     finally:
         gc.freeze()
 

@@ -373,6 +373,29 @@ def test_output_overwrites_a_longer_file_in_place(tmp_path, capsys, output):
 
 
 @pytest.mark.parametrize("output", OUTPUTS)
+def test_output_is_cut_only_when_left_longer(tmp_path, capsys, monkeypatch, output):
+    # a fresh file and one shorter than the output end at the bytes written
+    # with no ftruncate; only a file left longer is cut
+    fresh = tmp_path / "fresh"
+    assert _analyze_into(tmp_path, capsys, output, fresh)[0] == 0
+    new = fresh.read_bytes()
+    cuts = []
+    real_ftruncate = os.ftruncate
+    monkeypatch.setattr(
+        os, "ftruncate", lambda fd, n: (cuts.append(n), real_ftruncate(fd, n))[1]
+    )
+    again = tmp_path / "again"
+    shorter = tmp_path / "shorter"
+    shorter.write_bytes(b"\xff" * (len(new) // 2))
+    longer = tmp_path / "longer"
+    longer.write_bytes(b"\xff" * (len(new) + 1))
+    for target, expected in ((again, []), (shorter, []), (longer, [len(new)])):
+        cuts.clear()
+        assert _analyze_into(tmp_path, capsys, output, target)[0] == 0
+        assert (target.read_bytes(), cuts) == (new, expected)
+
+
+@pytest.mark.parametrize("output", OUTPUTS)
 def test_output_to_a_target_that_refuses_truncation(tmp_path, capsys, output):
     # /dev/null and a pipe refuse ftruncate with EINVAL: they take none, and
     # the pipe's reader gets the bytes a fresh file holds
@@ -697,6 +720,37 @@ def test_closed_stdout_exits_141_quietly(tmp_path, argv, unbuffered):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "{lens2}"],
+        ["family", "main4-even", "--r", "300", "--s", "0"],
+        ["-h"],
+        ["--version"],
+    ],
+    ids=["check", "large", "help", "version"],
+)
+def test_full_stdout_exits_5_with_one_line(tmp_path, argv, unbuffered):
+    # a stdout that refuses the write for another reason than a closed
+    # reader: one line on stderr, no traceback
+    argv = _process_argv(tmp_path, argv)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sasakit.cli", *argv],
+            stdout=full,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    assert (proc.returncode, proc.stderr) == (
+        cli.EXIT_STDOUT,
+        f"sasakit: error: cannot write stdout: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n",
+    )
 
 
 def test_run_freezes_once_and_main_never(tmp_path, capsys, monkeypatch):
