@@ -689,8 +689,8 @@ def test_console_entry_point_subprocess(tmp_path, capsys, argv, code):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
-@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize(
+# a small output, a large one, and argparse's help and version
+STDOUT_ARGV = pytest.mark.parametrize(
     "argv",
     [
         ["check", "{lens2}"],
@@ -700,53 +700,44 @@ def test_console_entry_point_subprocess(tmp_path, capsys, argv, code):
     ],
     ids=["check", "large", "help", "version"],
 )
+
+
+def _run_into(tmp_path, argv, unbuffered, stdout):
+    """The process entry on `argv` with stdout on `stdout` and
+    PYTHONUNBUFFERED set to `unbuffered` (unset when empty)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env.update({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})
+    return subprocess.run(
+        [sys.executable, "-m", "sasakit.cli", *_process_argv(tmp_path, argv)],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@STDOUT_ARGV
 def test_closed_stdout_exits_141_quietly(tmp_path, argv, unbuffered):
     # the reader of stdout is gone before the process starts: the write (of
     # a large output, or of any output when unbuffered, argparse's help and
     # version included) or the flush (of a small one) meets a broken pipe
-    argv = _process_argv(tmp_path, argv)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
-            [sys.executable, "-m", "sasakit.cli", *argv],
-            stdout=write_end,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        proc = _run_into(tmp_path, argv, unbuffered, write_end)
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (cli.EXIT_BROKEN_PIPE, "")
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["check", "{lens2}"],
-        ["family", "main4-even", "--r", "300", "--s", "0"],
-        ["-h"],
-        ["--version"],
-    ],
-    ids=["check", "large", "help", "version"],
-)
+@STDOUT_ARGV
 def test_full_stdout_exits_5_with_one_line(tmp_path, argv, unbuffered):
     # a stdout that refuses the write for another reason than a closed
     # reader: one line on stderr, no traceback
-    argv = _process_argv(tmp_path, argv)
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update({"PYTHONUNBUFFERED": unbuffered} if unbuffered else {})
     with open("/dev/full", "w") as full:
-        proc = subprocess.run(
-            [sys.executable, "-m", "sasakit.cli", *argv],
-            stdout=full,
-            stderr=subprocess.PIPE,
-            text=True,
-            env=env,
-        )
+        proc = _run_into(tmp_path, argv, unbuffered, full)
     assert (proc.returncode, proc.stderr) == (
         cli.EXIT_STDOUT,
         f"sasakit: error: cannot write stdout: {OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))}\n",
