@@ -8,6 +8,11 @@ good, 3 no height structure when one is required, 4 numerical failure, 5
 stdout not written (a full disk), 141 (128 + SIGPIPE) stdout closed by its
 reader.  `run` is the process entry; `main` serves library callers.
 
+Each handler returns its output, a dict and an exit code, and raises
+`_Failure` for an error output.  `main` alone prints: it turns a `_Failure`
+or an OSError from a file sasakit reads or writes into error JSON, adds
+`timing_seconds` when `--timings` asks for it, and prints the one document.
+
 Each subcommand and its arguments are declared once, in `_COMMANDS`.
 `_read_argv` reads an argv made of exact names and plain values from that
 table.  argparse, built from the same table and imported only when needed,
@@ -112,28 +117,18 @@ def _interior_sample(diagram: ToricDiagram) -> np.ndarray:
     return np.array(poly.cap_vertices).mean(axis=0)
 
 
-def _emit(out: dict, code: int, t_start: float | None = None) -> int:
-    """Print `out`, with the seconds since `t_start` when timings are asked for."""
-    if t_start is not None:
-        out["timing_seconds"] = time.perf_counter() - t_start
-    print(dumps(out), end="")
-    return code
+class _Failure(Exception):
+    """An error output: raised as _Failure(message, exit code), printed by `main`."""
 
 
-def _fail(message: str, code: int, t_start: float | None = None) -> int:
-    return _emit({"error": message, "tool": _tool_block()}, code, t_start)
-
-
-def _load_rank3(path: str, t_start: float | None = None) -> ToricDiagram | None:
-    """The rank-3 diagram at `path`, or None once the input error is printed."""
+def _load_rank3(path: str) -> ToricDiagram:
+    """The rank-3 diagram at `path`; an OSError reading it reaches `main`."""
     try:
         return load_diagram(path, rank=3)[0]
     except WrongRank:
-        message = "the command line pipeline handles rank-3 diagrams only"
-    except (OSError, ValueError) as exc:
-        message = str(exc)
-    _fail(message, EXIT_INPUT, t_start)
-    return None
+        raise _Failure("the command line pipeline handles rank-3 diagrams only", EXIT_INPUT)
+    except ValueError as exc:
+        raise _Failure(str(exc), EXIT_INPUT)
 
 
 def _goodness(report) -> dict:
@@ -143,10 +138,8 @@ def _goodness(report) -> dict:
     return {"good": report.good, "certificate": certificate}
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> tuple[dict, int]:
     diagram = _load_rank3(args.path)
-    if diagram is None:
-        return EXIT_INPUT
     report = is_good(diagram)
     out = {
         "input": diagram_to_dict(diagram),
@@ -155,7 +148,7 @@ def cmd_check(args) -> int:
         # every normal is one facet, the skeleton's rays are the edges
         "faces": {"facets": diagram.d, "edges": len(cone_skeleton(diagram).rays)},
     }
-    return _emit(out, EXIT_OK if report.good else EXIT_NOT_GOOD)
+    return out, EXIT_OK if report.good else EXIT_NOT_GOOD
 
 
 def _emit_svg(diagram: ToricDiagram, path: str) -> None:
@@ -289,13 +282,10 @@ def _scan_point(raw: str, rank: int):
     return point if len(point) == rank and all(map(math.isfinite, point)) else None
 
 
-def cmd_analyze(args) -> int:
-    t_start = time.perf_counter() if args.timings else None
+def cmd_analyze(args) -> tuple[dict, int]:
     if args.potential_grid is not None and args.potential_grid < 1:
-        return _fail("--potential-grid takes a positive number of points", EXIT_INPUT, t_start)
-    diagram = _load_rank3(args.path, t_start)
-    if diagram is None:
-        return EXIT_INPUT
+        raise _Failure("--potential-grid takes a positive number of points", EXIT_INPUT)
+    diagram = _load_rank3(args.path)
 
     stages: dict = {"validation": {"ok": True, "d": diagram.d, "rank": diagram.rank}}
     out = {"input": diagram_to_dict(diagram), "tool": _tool_block(), "stages": stages}
@@ -303,7 +293,7 @@ def cmd_analyze(args) -> int:
     good = is_good(diagram)
     stages["goodness"] = _goodness(good)
     if not good.good:
-        return _emit(out, EXIT_NOT_GOOD, t_start)
+        return out, EXIT_NOT_GOOD
 
     cy = compute_gamma(diagram)
     if args.cy:
@@ -331,12 +321,12 @@ def cmd_analyze(args) -> int:
         directions = [_scan_point(raw, diagram.rank) for raw in args.scan or ()]
         if None in directions:
             message = f"--scan takes {diagram.rank} finite comma-separated numbers"
-            return _fail(message, EXIT_INPUT, t_start)
+            raise _Failure(message, EXIT_INPUT)
         if cy is None:
             stages["reeb"] = {
                 "error": "no toric diagram structure; c1(D) = 0 fails"
             }
-            return _emit(out, EXIT_NO_CY, t_start)
+            return out, EXIT_NO_CY
         try:
             base = minimize_volume(diagram, cy)
             restarts = [minimize_volume(diagram, cy, start_offset=o) for o in RESTART_OFFSETS]
@@ -358,34 +348,30 @@ def cmd_analyze(args) -> int:
                 stages["reeb"]["scan_csv"] = scan_path
                 stages["reeb"]["scan_points"] = npts
         except (SasakitError, ArithmeticError) as exc:
-            return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL, t_start)
-        except OSError as exc:
-            return _fail(str(exc), EXIT_INPUT, t_start)
+            raise _Failure(f"numerical failure: {exc}", EXIT_NUMERICAL)
 
     if args.potential_grid is not None:
         grid_path = args.grid_out or "potential_grid.csv"
         try:
             npts = _write_grid_csv(diagram, args.potential_grid, grid_path)
         except (SasakitError, ArithmeticError, np.linalg.LinAlgError) as exc:
-            return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL, t_start)
+            raise _Failure(f"numerical failure: {exc}", EXIT_NUMERICAL)
         except MemoryError:
             message = f"--potential-grid {args.potential_grid}: not enough memory for the grid"
-            return _fail(message, EXIT_INPUT, t_start)
-        except OSError as exc:
-            return _fail(str(exc), EXIT_INPUT, t_start)
+            raise _Failure(message, EXIT_INPUT)
         stages["potential_grid"] = {"csv": grid_path, "points": npts}
 
     if args.emit_svg:
         try:
             _emit_svg(diagram, args.emit_svg)
-        except (NotNormalized, ValueError, OSError) as exc:
-            return _fail(str(exc), EXIT_INPUT, t_start)
+        except (NotNormalized, ValueError) as exc:
+            raise _Failure(str(exc), EXIT_INPUT)
         stages["svg"] = {"path": args.emit_svg}
 
-    return _emit(out, EXIT_OK, t_start)
+    return out, EXIT_OK
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> tuple[dict, int]:
     builder, options = FAMILY_BUILDERS[args.family]
     values = [getattr(args, name) for name in options]
     try:
@@ -394,18 +380,15 @@ def cmd_family(args) -> int:
             raise ValueError(f"{args.family} requires {flags}")
         diagram = builder(*values)
     except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
-    print(dumps(diagram_to_dict(diagram)), end="")
-    return EXIT_OK
+        raise _Failure(str(exc), EXIT_INPUT)
+    return diagram_to_dict(diagram), EXIT_OK
 
 
-def cmd_geodesic_test(args) -> int:
+def cmd_geodesic_test(args) -> tuple[dict, int]:
     _load_potentials()
     if not 0.0 < args.t < 1.0:
-        return _fail(f"--t must lie in (0, 1), got {args.t}", EXIT_INPUT)
+        raise _Failure(f"--t must lie in (0, 1), got {args.t}", EXIT_INPUT)
     diagram = _load_rank3(args.path)
-    if diagram is None:
-        return EXIT_INPUT
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             g0 = canonical_potential(diagram)
@@ -446,8 +429,8 @@ def cmd_geodesic_test(args) -> int:
                 ),
             }
     except (SasakitError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        return _fail(f"numerical failure: {exc}", EXIT_NUMERICAL)
-    return _emit(out, EXIT_OK)
+        raise _Failure(f"numerical failure: {exc}", EXIT_NUMERICAL)
+    return out, EXIT_OK
 
 
 # Every subcommand, declared once: its help, its handler and its arguments,
@@ -597,7 +580,18 @@ def main(argv=None) -> int:
     args = _read_argv(argv)
     if args is None:
         args = _parser().parse_args(argv)
-    return args.func(args)
+    start = time.perf_counter()
+    try:
+        out, code = args.func(args)
+    except _Failure as exc:
+        message, code = exc.args
+        out = {"error": message, "tool": _tool_block()}
+    except OSError as exc:  # from a file sasakit reads or writes: stdout is written below
+        out, code = {"error": str(exc), "tool": _tool_block()}, EXIT_INPUT
+    if getattr(args, "timings", False):
+        out["timing_seconds"] = time.perf_counter() - start
+    print(dumps(out), end="")
+    return code
 
 
 def run(argv=None) -> int:

@@ -46,9 +46,6 @@ class ToricDiagram(Record):
     def d(self) -> int:
         return len(self.normals)
 
-    def __iter__(self):
-        return iter(self.normals)
-
 
 class FaceDescriptor(Record):
     """A proper face, recorded by the normals vanishing on it.

@@ -318,15 +318,10 @@ def sublattice_saturation_equal(vectors) -> bool:
 
     True iff they are linearly independent over Z and every lattice point of
     their real span is already an integer combination of them, which is
-    equivalent to all Smith invariant factors of the column matrix being 1.
-    That is decided by closed forms where they exist:
-
-    - one vector: saturated iff the gcd of its entries is 1, O(n);
-    - two vectors, at any rank n: saturated iff the gcd of their 2x2 minors
-      is 1, O(n^2);
-    - k >= 3 vectors: saturated iff the transform-free Smith diagonal is k
-      ones; min(k, n) pivots, each O(k n) integer work per reduction pass,
-      with no U, V or determinant.
+    equivalent to all Smith invariant factors of the column matrix being 1:
+    the transform-free Smith diagonal of k vectors is k ones.  That takes
+    min(k, n) pivots, each O(k n) integer work per reduction pass, with no
+    U, V or determinant.
     """
     cols = [_as_int_vector(v) for v in vectors]
     if not cols or not cols[0]:
@@ -338,15 +333,6 @@ def sublattice_saturation_equal(vectors) -> bool:
 
 def _saturated(cols) -> bool:
     """sublattice_saturation_equal of checked integer vectors of one nonzero length."""
-    if len(cols) == 1:
-        return gcd(*cols[0]) == 1
-    if len(cols) == 2:
-        a, b = cols
-        g = 0
-        for i in range(len(a)):
-            for j in range(i + 1, len(a)):
-                g = gcd(g, a[i] * b[j] - a[j] * b[i])
-        return g == 1
     diag = _smith_diagonal(IntMatrix.from_columns(cols))
     return len(diag) == len(cols) and all(x == 1 for x in diag)
 

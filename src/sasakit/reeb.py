@@ -29,9 +29,6 @@ class ReebVector(Record):
 
     xi: tuple[float, ...]
 
-    def __iter__(self):
-        return iter(self.xi)
-
 
 class TruncatedPolytope(Record):
     """Vertices of {y in C : <y, xi> <= 1}; the apex comes first."""
@@ -43,20 +40,19 @@ class TruncatedPolytope(Record):
         return self.vertices[1:]
 
 
-def _quotient(a: int, b):
-    """a / b, kept exact when b is an int or a Fraction."""
-    return Fraction(a) / b if isinstance(b, (int, Fraction)) else a / b
-
-
 def _ray_scales(diagram: ToricDiagram, xi):
-    """Extreme rays and their pairings with xi, all of which must be positive."""
+    """Extreme rays and their pairings with xi, all of which must be positive.
+
+    An int pairing comes back as a Fraction, so an int divided by it stays
+    exact; a float one stays a float.
+    """
     rays = extreme_rays(diagram)
     scales = [sum(r * x for r, x in zip(ray, xi)) for ray in rays]
     if any(s <= 0 for s in scales):
         raise UnboundedRegion(
             "pairing vector is not interior to the Reeb cone; region unbounded"
         )
-    return rays, scales
+    return rays, [Fraction(s) if isinstance(s, int) else s for s in scales]
 
 
 def truncated_polytope(diagram: ToricDiagram, xi) -> TruncatedPolytope:
@@ -66,7 +62,7 @@ def truncated_polytope(diagram: ToricDiagram, xi) -> TruncatedPolytope:
     extreme ray, in which case the slice does not bound the cone.
     """
     rays, scales = _ray_scales(diagram, xi)
-    verts = [tuple(_quotient(r, s) for r in ray) for ray, s in zip(rays, scales)]
+    verts = [tuple(r / s for r in ray) for ray, s in zip(rays, scales)]
     return TruncatedPolytope(vertices=(tuple(0 * x for x in xi), *verts))
 
 
@@ -79,7 +75,7 @@ def volume(diagram: ToricDiagram, xi):
     total = 0
     for j in range(1, len(rays) - 1):
         det = _dot(rays[0], _cross(rays[j], rays[j + 1]))
-        total += _quotient(det, scales[0] * scales[j] * scales[j + 1])
+        total += det / (scales[0] * scales[j] * scales[j + 1])
     return total / 6
 
 

@@ -689,6 +689,61 @@ def test_console_entry_point_subprocess(tmp_path, capsys, argv, code):
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
+def test_main_alone_prints_one_document(tmp_path, capsys, monkeypatch):
+    # the handlers return their output and main prints it, once per call:
+    # every PROCESS_CASES argv and each kind of error output.  A usage error
+    # is argparse's, which exits before any handler and prints no JSON.
+    prints = []
+
+    def counted(*args, **kwargs):
+        prints.append(args)
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "print", counted, raising=False)
+    rank4 = tmp_path / "rank4.json"
+    rank4.write_text(dumps({"normals": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}))
+    errors = [
+        (["analyze", "{missing}"], 1),
+        (["analyze", "{lens2}", "--potential-grid", "3", "--grid-out", str(tmp_path / "no" / "g.csv")], 1),
+        (["analyze", "{lens2}", "--potential-grid", "0"], 1),
+        (["analyze", "{lens2}", "--reeb", "--scan", "1,2"], 1),
+        (["family", "main4-odd", "--r", "2"], 1),
+        (["check", str(rank4)], 1),
+        (["geodesic-test", "{lens2}", "--t", "2"], 1),
+    ]
+    for argv, code in PROCESS_CASES + errors:
+        prints.clear()
+        [(returned, out, _)] = _outputs(capsys, [_process_argv(tmp_path, argv)])
+        if returned == ("SystemExit", code):
+            assert prints == [] and out == "", argv
+        else:
+            assert returned == code and prints == [(out,)], argv
+            json.loads(out)
+
+
+def test_timings_reach_every_analyze_exit(tmp_path, capsys, monkeypatch):
+    # --timings appends timing_seconds to the output of each exit code and
+    # changes nothing else in it
+    lens2 = write_diagram(tmp_path, "lens2.json", lens(2).normals)
+    bad = write_diagram(tmp_path, "bad.json", [(1, 0, 0), (1, 2, 4), (1, 1, 4)])
+    non_cy2 = write_diagram(tmp_path, "non-cy2.json", non_cy(2).normals)
+    cases = [
+        ([lens2, "--cy"], 0),
+        ([str(tmp_path / "missing.json")], 1),
+        ([bad, "--topo"], 2),
+        ([non_cy2, "--reeb"], 3),
+        ([lens2, "--reeb"], 4),
+    ]
+    for flags, code in cases:
+        if code == 4:
+            _restarts_fail(monkeypatch)
+        plain, timed = (run(capsys, ["analyze", *flags, *extra]) for extra in ([], ["--timings"]))
+        assert plain[0] == timed[0] == code
+        payload = json.loads(timed[1])
+        assert payload.pop("timing_seconds") >= 0
+        assert payload == json.loads(plain[1])
+
+
 # a small output, a large one, and argparse's help and version
 STDOUT_ARGV = pytest.mark.parametrize(
     "argv",

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from sympy.matrices.normalforms import invariant_factors as sympy_invariant_factors
 
 from sasakit.lattice import (
@@ -144,9 +144,30 @@ def test_snf_invariant_factors_match_sympy(rows):
         )
     )
 )
-def test_saturation_closed_forms_match_full_snf_rule(vectors):
-    # 1 vector: gcd; 2 vectors: gcd of 2x2 minors; 3: transform-free diagonal
+def test_saturation_matches_full_snf_rule(vectors):
+    # the transform-free diagonal against the Smith form with its transforms
     assert sublattice_saturation_equal(vectors) == saturation_snf_oracle(vectors)
+
+
+@ORACLE
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=1, max_size=4
+        )
+    )
+)
+@example([[1, 0, 0]])
+@example([[2, 0, 0]])
+@example([[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0]])
+@example([[1], [1]])
+@example([[1, 2], [3, 4]])
+def test_saturation_matches_sympy_smith_form(vectors):
+    # k vectors in Z^n, n = 1..6, k = 1..4: saturated iff sympy's Smith form
+    # of the n x k column matrix has k unit entries (so k <= n)
+    diagonal = sympy_invariant_factors(sympy.Matrix(vectors).T)
+    expected = sum(abs(int(x)) == 1 for x in diagonal) == len(vectors)
+    assert sublattice_saturation_equal(vectors) == expected
 
 
 def test_kernel_basis_is_pinned():

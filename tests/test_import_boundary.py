@@ -40,14 +40,19 @@ print(code, *(name for name in {WATCHED!r} if name in sys.modules))
 """
 
 
-def _fresh_cli(argv):
+def _fresh_python(script, *argv):
+    """The stdout of `script` in a fresh interpreter that finds this sasakit."""
     path = [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
     proc = subprocess.run(
-        [sys.executable, "-c", SCRIPT, *argv], capture_output=True, text=True, env=env
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
     )
     assert proc.stderr == ""
-    code, *loaded = proc.stdout.splitlines()[-1].split()
+    return proc.stdout
+
+
+def _fresh_cli(argv):
+    code, *loaded = _fresh_python(SCRIPT, *argv).splitlines()[-1].split()
     return int(code), set(loaded)
 
 
@@ -82,6 +87,20 @@ def test_lazy_names_are_the_potentials_objects():
         sasakit.no_such_name
     with pytest.raises(AttributeError):
         cli.no_such_name
+
+
+def test_first_read_of_a_lazy_name_loads_the_potentials():
+    # perfbench/tracing.py reads cli.eval_potential before any grid has run:
+    # cli's module __getattr__ then imports numpy and binds the potentials
+    script = """
+import sys
+from sasakit import cli
+before = "numpy" in sys.modules
+fn = getattr(cli, "eval_potential")
+from sasakit import potentials
+print(before, "numpy" in sys.modules, fn is potentials.eval_potential)
+"""
+    assert _fresh_python(script).split() == ["False", "True", "True"]
 
 
 def test_grid_calls_the_potentials_through_cli(tmp_path, capsys, monkeypatch):
