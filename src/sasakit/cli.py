@@ -95,8 +95,6 @@ def __getattr__(name):
     if name in _POTENTIALS:
         _load_potentials()
         return globals()[name]
-    if name == "_Parser":
-        return _parser_class()
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
@@ -110,7 +108,6 @@ def _tool_block() -> dict:
 
 
 def _interior_sample(diagram: ToricDiagram) -> np.ndarray:
-    _load_potentials()
     # a float Reeb vector makes every cap vertex entry a float already
     poly = truncated_polytope(diagram, [float(x) for x in canonical_reeb(diagram)])
     # not sum(): np.mean adds pairwise, which changes the bytes from 8 cap vertices on
@@ -532,10 +529,10 @@ def _read_argv(argv) -> SimpleNamespace | None:
 
 @cache
 def _parser_class():
-    """`cli._Parser`: argparse's parser, with a usage error exiting as an
-    input error (1), since argparse's 2 would read as "not good".  Subparsers
-    inherit the class.  Defined on first use, so that argparse and gettext
-    load only for an argv `_read_argv` leaves to them."""
+    """argparse's parser class, with a usage error exiting as an input error
+    (1), since argparse's 2 would read as "not good".  Subparsers inherit the
+    class.  Defined on first use, so that argparse and gettext load only for
+    an argv `_read_argv` leaves to them."""
     import argparse
     from gettext import gettext as _
 
@@ -572,14 +569,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_parser = cache(build_parser)  # main's one parser per process; parse_args leaves it as is
-
-
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _read_argv(argv)
     if args is None:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         out, code = args.func(args)

@@ -30,20 +30,10 @@ from .errors import BoundaryOrOutside, MismatchedDiagrams, StencilOutsideDomain
 from .lattice import Record
 
 
-class ExtraTerm:
-    """Interface for smooth extra summands of a potential; y is (n,) or (m, n)."""
-
-    def value(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def hess(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+FD_STEP = 1e-4  # the difference step of dual_hessian_fd and reeb_invariance_residual
 
 
-class RationalBump(ExtraTerm):
+class RationalBump:
     """g(y) = <a, y> <b, y> / <c, y>, homogeneous of degree 1, on <c, y> > 0.
 
     a, b and c are covectors; an int k for a or b stands for the coordinate
@@ -90,7 +80,7 @@ class RationalBump(ExtraTerm):
         )
 
 
-class QuadraticCoordinate(ExtraTerm):
+class QuadraticCoordinate:
     """g(y) = y_k^2; its gradient has degree 1, so it shifts the pairing vector."""
 
     def __init__(self, k: int = 0):
@@ -110,7 +100,7 @@ class QuadraticCoordinate(ExtraTerm):
         return h
 
 
-class LinearTerm(ExtraTerm):
+class LinearTerm:
     """g(y) = <c, y> + b; Legendre-dual to a coordinate translation."""
 
     def __init__(self, c, b: float = 0.0):
@@ -130,14 +120,15 @@ class LinearTerm(ExtraTerm):
 class SymplecticPotential(Record):
     """sum_a weights[a] l_a log l_a over the levels l = y @ forms.T, plus extras.
 
-    `forms` is a k x n float array, one row per entropy term.  Equality is
-    identity: comparing the array fields would raise.
+    `forms` is a k x n float array, one row per entropy term.  `extras` holds
+    (coefficient, term) pairs; a term is any object with value, grad and hess
+    of y, (n,) or (m, n).  Equality is identity: comparing arrays would raise.
     """
 
     diagram: ToricDiagram
     weights: np.ndarray
     forms: np.ndarray
-    extras: tuple[tuple[float, ExtraTerm], ...] = ()
+    extras: tuple = ()
 
     __eq__, __hash__ = object.__eq__, object.__hash__
 
@@ -228,7 +219,7 @@ def canonical_xi_potential(diagram: ToricDiagram, xi) -> SymplecticPotential:
 
 
 def shifted_potential(
-    base: SymplecticPotential, extra: ExtraTerm, coeff: float = 1.0
+    base: SymplecticPotential, extra, coeff: float = 1.0
 ) -> SymplecticPotential:
     return SymplecticPotential(
         base.diagram, base.weights, base.forms, base.extras + ((coeff, extra),)
@@ -395,37 +386,37 @@ def legendre_roundtrip_error(pot: SymplecticPotential, y):
     return np.linalg.norm(back - y, axis=-1) / (1.0 + np.linalg.norm(y, axis=-1))
 
 
-def dual_hessian_fd(pot: SymplecticPotential, y, h: float = 1e-4) -> np.ndarray:
+def dual_hessian_fd(pot: SymplecticPotential, y) -> np.ndarray:
     """Hessian of the dual potential at the dual point of y, by differencing.
 
     Central differences of the dual gradient map x -> y(x): one batched
-    Newton inversion over the 2n stencil targets x +- h e_k.
+    Newton inversion over the 2n stencil targets x +- h e_k, h = FD_STEP.
     """
     y = np.asarray(y, dtype=float)
     n = len(y)
-    targets = pot.grad(y) + h * np.concatenate([np.eye(n), -np.eye(n)])
+    targets = pot.grad(y) + FD_STEP * np.concatenate([np.eye(n), -np.eye(n)])
     ys = invert_gradient(pot, targets, y0=y, tol=1e-13)
-    return (ys[:n] - ys[n:]).T / (2 * h)
+    return (ys[:n] - ys[n:]).T / (2 * FD_STEP)
 
 
-def hessian_identity_error(pot: SymplecticPotential, y, h: float = 1e-4) -> float:
+def hessian_identity_error(pot: SymplecticPotential, y) -> float:
     """Max-entry defect of (finite-difference dual Hessian) @ (Hessian of G) = I."""
     y = np.asarray(y, dtype=float)
-    product = dual_hessian_fd(pot, y, h) @ pot.hess(y)
+    product = dual_hessian_fd(pot, y) @ pot.hess(y)
     return float(np.max(np.abs(product - np.eye(len(y)))))
 
 
-def reeb_invariance_residual(g, y, h: float = 1e-4) -> float:
+def reeb_invariance_residual(g, y) -> float:
     """Radial derivative of the gradient of g, by central differences.
 
-    Returns max_i |d/de grad_i g((1+e) y)| at e = 0.  Vanishes exactly when
-    grad g is homogeneous of degree 0, the condition for both endpoint
-    potentials of a segment to share one pairing vector.
+    Returns max_i |d/de grad_i g((1+e) y)| at e = 0, step FD_STEP.  Vanishes
+    exactly when grad g is homogeneous of degree 0, the condition for both
+    endpoint potentials of a segment to share one pairing vector.
     """
     y = np.asarray(y, dtype=float)
-    gp = np.asarray(g.grad((1 + h) * y), dtype=float)
-    gm = np.asarray(g.grad((1 - h) * y), dtype=float)
-    return float(np.max(np.abs((gp - gm) / (2 * h))))
+    gp = np.asarray(g.grad((1 + FD_STEP) * y), dtype=float)
+    gm = np.asarray(g.grad((1 - FD_STEP) * y), dtype=float)
+    return float(np.max(np.abs((gp - gm) / (2 * FD_STEP))))
 
 
 def geodesic_equation_residual(

@@ -5,10 +5,10 @@ are the extreme rays scaled by 1/<ray, xi>.  Its Euclidean volume V is
 rational in xi, homogeneous of degree -rank and log-convex on the open Reeb
 cone.  `minimize_volume` runs damped Newton on log V in an exact reduced
 lattice basis, so every input basis gets the same answer; `converged` means
-a Newton decrement at most `tol`.  The frame is O(d) exact integer work done
-once per diagram and kept on it; a start then costs O(h) floats per fan
-pass.  V is the raw polytope volume; any constant tying it to a metric
-volume is a convention left to the caller.
+a Newton decrement at most `TOLERANCE`.  The frame is O(d) exact integer
+work done once per diagram and kept on it; a start then costs O(h) floats
+per fan pass.  V is the raw polytope volume; any constant tying it to a
+metric volume is a convention left to the caller.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import InfeasibleSlice, UnboundedRegion
 from .lattice import IntMatrix, Record
 
 MAX_ITERATIONS = 100
+TOLERANCE = 1e-13  # the Newton decrement at which minimize_volume stops, converged
 
 
 class ReebVector(Record):
@@ -184,7 +185,6 @@ def minimize_volume(
     diagram: ToricDiagram,
     cy: CalabiYauData,
     start_offset=None,
-    tol: float = 1e-13,
 ) -> MinimizationResult:
     """Minimize the truncated-cone volume over the normalization slice.
 
@@ -198,10 +198,10 @@ def minimize_volume(
     stays in the cone and passes an Armijo test, except that at a Newton
     decrement sqrt(g^T H^-1 g) <= 1e-3 the full step is taken, as the
     decrease is then below the rounding of log V.  `converged` means the
-    scale-free decrement reached `tol`; `grad_norm` is grad V tangent to the
-    slice, in the input basis.  Cost: O(d) exact integer work for the frame,
-    once per diagram (every call and start reads the one kept on it), then
-    O(h) floats per fan pass for h rays, one pass per step or backtrack.
+    scale-free decrement reached `TOLERANCE`; `grad_norm` is grad V tangent
+    to the slice, in the input basis.  Cost: O(d) exact integer work for the
+    frame, once per diagram (every call and start reads the one kept on it),
+    then O(h) floats per fan pass for h rays, one pass per step or backtrack.
     Raises InfeasibleSlice unless cy is the diagram's own height data.
     """
     if cy != compute_gamma(diagram):  # gamma is unique: the same as pairing to -1
@@ -222,7 +222,7 @@ def minimize_volume(
             break
         dx, dy = (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
         decrement = sqrt(max(-(gx * dx + gy * dy), 0.0))
-        converged = decrement <= tol
+        converged = decrement <= TOLERANCE
         if converged or iterations == MAX_ITERATIONS:
             break
         t = 1.0

@@ -4,6 +4,9 @@ The fundamental group is the quotient of the ambient lattice by the span of
 the normals; the second Betti number of the associated simply connected
 5-manifold is d - 3; the equivalence-class invariant of a height-1 diagram
 is the lattice area of its (p, q) polygon, kept exact as twice-area.
+pi1, b2 and the label describe the normal list, which is the manifold's only
+when `cone_skeleton` finds no grazing or empty normal: a normal the others
+imply still enters the span and the count d.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import warnings
 from fractions import Fraction
 
-from .cones import ToricDiagram, height1_points, torsion
+from .cones import ToricDiagram, cone_skeleton, height1_points, torsion
 from .lattice import IntMatrix, Record, invariant_factors
 from .lattice import smith_normal_form  # noqa: F401  perfbench/tracing.py patches this name
 
@@ -34,7 +37,8 @@ class TopologyReport(Record):
 def fundamental_group(diagram: ToricDiagram) -> tuple[int, ...]:
     """Invariant factors of the ambient lattice modulo the normal span.
 
-    Empty tuple means the manifold is simply connected.  Kept on the diagram.
+    Empty tuple means simply connected.  It is the normal list's group
+    (module docstring).  Kept on the diagram.
     At rank 3 a saturated edge of the skeleton reduces it to Z/g, g one gcd
     over the normals (`cones.torsion`); only a diagram with no saturated
     edge, where the group need not be cyclic, runs a Smith diagonal.
@@ -43,9 +47,15 @@ def fundamental_group(diagram: ToricDiagram) -> tuple[int, ...]:
 
 
 def second_betti(diagram: ToricDiagram) -> int:
-    """b2 = d - 3 for a good rank-3 diagram of a simply connected manifold."""
+    """b2 = d - 3 for a good rank-3 diagram of a simply connected manifold.
+
+    d counts normals: it warns when one is no facet, and for a nontrivial pi1.
+    """
     if diagram.rank != 3:
         raise ValueError("the d - 3 formula applies to rank-3 diagrams")
+    sk = cone_skeleton(diagram)
+    if sk.grazing or sk.empty:
+        warnings.warn("a normal is not a facet; d - 3 counts normals, not facets", stacklevel=2)
     if fundamental_group(diagram):
         warnings.warn(
             "second_betti applied to a diagram with nontrivial fundamental "
@@ -76,7 +86,8 @@ def identify_5d(diagram: ToricDiagram) -> str:
 
     Relies on the classification of simply connected 5-manifolds with a
     3-torus action; outside that regime only the lens-type cyclic case is
-    labeled and anything else, any rank but 3 included, is unknown.
+    labeled and anything else, any rank but 3 included, is unknown.  It
+    names the normal list (module docstring).
     """
     if diagram.rank != 3:
         return "unknown"
@@ -92,6 +103,7 @@ def identify_5d(diagram: ToricDiagram) -> str:
 
 
 def topology_report(diagram: ToricDiagram) -> TopologyReport:
+    """pi1, b2, area and label of the normal list (module docstring)."""
     pi1 = fundamental_group(diagram)
     # the report always carries the d - 3 value; second_betti() is the place
     # that warns when its hypothesis fails

@@ -215,12 +215,21 @@ def nullspace(rows):
     return [[Fraction(int(x.p), int(x.q)) for x in v] for v in sympy.Matrix(rows).nullspace()]
 
 
+# The largest elimination level _fm_feasible builds: above every level a test
+# input was seen to reach (13283, from test_cones' rank 2-5 property), far
+# below the millions a rank-5 system of 7 normals can ask for.  Under it a
+# call on such systems took at most 0.8 s, in a process of 78 MB.
+FM_LEVEL_BOUND = 100_000
+
+
 def _fm_feasible(constraints, nvars):
     """Witness for the system <c, y> >= r, or None if infeasible.
 
     Small-scale Fourier-Motzkin over Fraction, at any rank: the reference
     for `cones._gordan_witness`.  Its cost depends on the lattice basis and
-    can grow doubly exponentially with the rank, so it stays out of `src`.
+    can grow doubly exponentially with the rank, so it stays out of `src`;
+    a level above FM_LEVEL_BOUND constraints fails at once, before it is
+    built, rather than hang the suite.
     """
     levels = [[(tuple(map(Fraction, c)), Fraction(r)) for c, r in constraints]]
     for k in range(nvars - 1, -1, -1):
@@ -233,6 +242,10 @@ def _fm_feasible(constraints, nvars):
                 ups.append((c, r))
             else:
                 nxt.append((c[:k], r))
+        size = len(nxt) + len(lows) * len(ups)
+        assert size <= FM_LEVEL_BOUND, (
+            f"Fourier-Motzkin level of {size} constraints exceeds FM_LEVEL_BOUND"
+        )
         for (a, ra), (b, rb) in itertools.product(lows, ups):
             p, n = a[k], b[k]
             coeffs = tuple(p * b[j] - n * a[j] for j in range(k))
@@ -546,7 +559,7 @@ class LoopPotential:
     """Reference for `sasakit.SymplecticPotential`: the per-term loops.
 
     `entropy` is a tuple of (weight, form) pairs and `extras` of (weight,
-    ExtraTerm) pairs; value, gradient and Hessian add one term at a time.
+    extra term) pairs; value, gradient and Hessian add one term at a time.
     `sizes` returns the same three quantities with every term replaced by
     its absolute value, the scale of their rounding.
     """

@@ -515,6 +515,18 @@ def test_analyze_svg_requires_height1(tmp_path, capsys):
     assert code == 1
 
 
+def test_analyze_height1_diagram_with_an_implied_normal(tmp_path, capsys):
+    # good and of height 1, but (1, 0, 0) lies inside the other three's
+    # triangle: the topology stage has no area, and no polygon can be drawn
+    path = write_diagram(tmp_path, "h1.json", [(1, -1, -1), (1, 1, 0), (1, 0, 1), (1, 0, 0)])
+    code, out = run(capsys, ["analyze", path, "--topo"])
+    assert code == 0 and json.loads(out)["stages"]["topology"]["area2"] is None
+    svg = tmp_path / "h1.svg"
+    code, out = run(capsys, ["analyze", path, "--emit-svg", str(svg)])
+    assert code == 1 and not svg.exists()
+    assert json.loads(out)["error"] == "normals are not in strictly convex position"
+
+
 def test_family_lens_emits_printed_normals(tmp_path, capsys):
     code, out = run(capsys, ["family", "lens", "--l", "3"])
     assert code == 0
@@ -851,7 +863,7 @@ def test_usage_error_is_input_error(tmp_path, capsys, monkeypatch, argv):
     argv = _process_argv(tmp_path, argv)
     [(code, out, err)] = _outputs(capsys, [argv])
     assert code == ("SystemExit", 1) and out == ""
-    monkeypatch.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+    monkeypatch.setattr(cli._parser_class(), "error", argparse.ArgumentParser.error)
     assert _outputs(capsys, [argv]) == [(("SystemExit", 2), "", err)]
 
 
@@ -1008,7 +1020,6 @@ def test_documented_and_benchmark_argv_build_no_parser(tmp_path, capsys, monkeyp
         raise AssertionError("argparse's parser was built")
 
     monkeypatch.setattr(cli, "build_parser", refuse)
-    monkeypatch.setattr(cli, "_parser", refuse)
     monkeypatch.chdir(tmp_path)
     write_diagram(tmp_path, "lens2.json", lens(2).normals)
     write_diagram(tmp_path, "z5.json", z5_lens().normals)
@@ -1280,11 +1291,12 @@ def _outputs(capsys, calls):
     return out
 
 
-def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
-    # one parser serves every call with the bytes a fresh one gives: an
-    # append action, a switch of subcommand and an argparse exit leave no
-    # state behind for the next call.  Each argv is one the plain reader
-    # leaves to argparse: --opt=value, an abbreviation, a usage error.
+def test_argparse_fallback_leaves_no_state(tmp_path, capsys, monkeypatch):
+    # each call argparse reads builds its own parser, and an append action, a
+    # switch of subcommand and an argparse exit leave no state behind for the
+    # next call: the calls give the same bytes in either order.  Each argv is
+    # one the plain reader leaves to argparse: --opt=value, an abbreviation,
+    # a usage error.
     path = write_diagram(tmp_path, "m4.json", main4_even(2, 1).normals)
     scan = ["--scan=1,0,0", "--scan=0,1,0", "--scan-out", str(tmp_path / "scan.csv")]
     calls = [
@@ -1296,24 +1308,19 @@ def test_main_reuses_one_parser(tmp_path, capsys, monkeypatch):
         ["analyze", path, "--cy", "--to"],
     ]
     assert [cli._read_argv(argv) for argv in calls] == [None] * len(calls)
-    assert cli._parser() is cli._parser() is not cli.build_parser()
     parsers = []
+    build_parser = cli.build_parser
 
-    def counted(make):
-        def parser():
-            parsers.append(make())
-            return parsers[-1]
+    def counted():
+        parsers.append(build_parser())
+        return parsers[-1]
 
-        return parser
-
-    monkeypatch.setattr(cli, "_parser", counted(cli._parser))
-    reused = _outputs(capsys, calls)
-    assert len(parsers) == len(calls) and len(set(map(id, parsers))) == 1
-    monkeypatch.setattr(cli, "_parser", counted(cli.build_parser))
-    assert reused == _outputs(capsys, calls)
-    assert len(parsers) == 2 * len(calls) and len(set(map(id, parsers))) == 1 + len(calls)
-    assert [code for code, _, _ in reused] == [0, 0, 0, 0, ("SystemExit", 1), 0]
-    assert "scan_points" in reused[0][1] and "scan_points" not in reused[1][1]
+    monkeypatch.setattr(cli, "build_parser", counted)
+    outputs = _outputs(capsys, calls)
+    assert len(set(map(id, parsers))) == len(parsers) == len(calls)
+    assert _outputs(capsys, calls[::-1]) == outputs[::-1]
+    assert [code for code, _, _ in outputs] == [0, 0, 0, 0, ("SystemExit", 1), 0]
+    assert "scan_points" in outputs[0][1] and "scan_points" not in outputs[1][1]
 
 
 def test_smith_diagonal_runs_only_without_a_saturated_edge(tmp_path, capsys, monkeypatch):

@@ -29,7 +29,7 @@ from sasakit import (
 )
 
 from sasakit import cones
-from sasakit.cones import cone_skeleton, height_covector
+from sasakit.cones import cone_skeleton, height1_points, height_covector
 from sasakit.lattice import IntMatrix
 
 from helpers import (
@@ -180,6 +180,14 @@ def test_gordan_witness_agrees_with_fourier_motzkin_at_every_rank(normals):
     if w is not None:
         assert all(sum(a * b for a, b in zip(w, v)) >= 1 for v in normals)
     assert_matches_earlier_path(normals)
+
+
+def test_fourier_motzkin_oracle_fails_fast_past_its_bound():
+    # 317 constraints bound y_2 below and 317 above: eliminating it would pair
+    # them into 100489, past FM_LEVEL_BOUND, so the oracle refuses before it builds
+    system = [((j, sign), 1) for j in range(317) for sign in (1, -1)]
+    with pytest.raises(AssertionError, match="level of 100489 constraints"):
+        _fm_feasible(system, 2)
 
 
 def centred_no_gamma_parabola(n):
@@ -594,6 +602,32 @@ def test_height1_requires_height1_form():
 
     with pytest.raises(NotNormalized):
         is_good_height1_3d(lens(2))
+
+
+def test_validation_rejects_malformed_normal_lists():
+    with pytest.raises(ValueError, match="no normals"):
+        validate_diagram([])
+    with pytest.raises(ValueError, match="unequal length"):
+        validate_diagram([(1, 0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="declared rank 4 does not match normal length 3"):
+        validate_diagram(lens(2).normals, rank=4)
+
+
+def test_skeleton_is_rank_3_only():
+    d = validate_diagram([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    with pytest.raises(ValueError, match="rank 3 only"):
+        cone_skeleton(d)
+
+
+def test_height1_points_refuse_a_normal_inside_the_polygon():
+    # (0, 0) lies inside the triangle of the other three: the diagram is good,
+    # but its last normal is implied by the others, so no convex loop exists
+    d = validate_diagram([(1, -1, -1), (1, 1, 0), (1, 0, 1), (1, 0, 0)])
+    assert is_good(d).good
+    sk = cone_skeleton(d)
+    assert (sk.facet_cycle, sk.grazing, sk.empty) == ((0, 1, 2), (), (3,))
+    with pytest.raises(ValueError, match="not in strictly convex position"):
+        height1_points(d)
 
 
 def test_height1_equivalence_random():

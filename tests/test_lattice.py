@@ -205,6 +205,8 @@ def test_saturation_examples():
     assert not sublattice_saturation_equal([(1, 0, 0), (2, 0, 0)])
     with pytest.raises(ValueError, match="different lengths"):
         sublattice_saturation_equal([(1, 0, 0), (0, 1)])
+    with pytest.raises(ValueError, match="at least one nonempty vector"):
+        sublattice_saturation_equal([])
 
 
 def test_saturation_against_box_oracle():
@@ -224,3 +226,17 @@ def test_unimodular_inverse_roundtrip():
     m = IntMatrix.from_rows([[0, 0, -1], [-1, 1, 0], [1, 0, 2]])
     inv = m.inverse_unimodular()
     assert (m @ inv).entries == IntMatrix.identity(3).entries
+
+
+def test_matrix_shape_errors():
+    with pytest.raises(ValueError, match="nonempty"):
+        IntMatrix.from_rows([])
+    with pytest.raises(ValueError, match="ragged rows"):
+        IntMatrix.from_rows([[1, 0], [0]])
+    m = IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError, match="shape mismatch"):
+        m @ m
+    with pytest.raises(ValueError, match="shape mismatch"):
+        m.mul_vector((1, 2))
+    with pytest.raises(ValueError, match="non-square"):
+        m.det()

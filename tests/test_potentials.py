@@ -20,6 +20,7 @@ from sasakit import (
     extreme_rays,
     geodesic_equation_residual,
     geodesic_segment,
+    interior_point,
     invert_gradient,
     legendre,
     legendre_roundtrip_error,
@@ -69,6 +70,8 @@ def test_canonical_gradient_and_dual_value_octant():
     x, f = legendre(canonical_potential(octant()), (1, 1, 1))
     assert x == pytest.approx(sample.x) and f == pytest.approx(sample.F)
     assert legendre(sample) == (sample.x, sample.F)
+    with pytest.raises(TypeError, match="needs the evaluation point"):
+        legendre(canonical_potential(octant()))
 
 
 def test_canonical_hessian_closed_form():
@@ -392,6 +395,15 @@ def test_newton_trial_points_outside_the_domain_take_no_gradient(monkeypatch):
     calls = _count_calls(monkeypatch)
     invert_gradient(pot, x, y0=[50.0, 1.0, 1.0])
     assert calls["trial"] > calls["trial_inside"] == calls["_grad"] - 1
+
+
+def test_inversion_starts_at_the_interior_point_by_default():
+    d = main4_odd(3, 2)
+    pot = canonical_potential(d)
+    xs = pot.grad(np.array(interior_points(d, 3, seed=5)))
+    ys = invert_gradient(pot, xs)
+    assert np.array_equal(ys, invert_gradient(pot, xs, y0=[float(v) for v in interior_point(d)]))
+    assert np.allclose(pot.grad(ys), xs, rtol=0, atol=1e-10)
 
 
 def test_eval_potential_takes_one_levels_product_and_one_log(monkeypatch):

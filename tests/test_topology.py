@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,24 @@ def test_second_betti_values():
 def test_second_betti_warns_outside_simply_connected():
     with pytest.warns(UserWarning):
         second_betti(lens(3))
+
+
+def test_second_betti_is_rank_3_only():
+    d = validate_diagram([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)])
+    with pytest.raises(ValueError, match="rank-3"):
+        second_betti(d)
+
+
+def test_second_betti_warns_when_a_normal_is_no_facet():
+    # d - 3 counts normals: the octant plus the implied (1, 1, 1) has the
+    # octant's cone, and non_cy(l) has lens(l)'s
+    implied = validate_diagram([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])
+    for d in (implied, non_cy(3)):
+        with pytest.warns(UserWarning, match="counts normals, not facets"):
+            second_betti(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        second_betti(main4_odd(3, 2))
 
 
 def shoelace_triangle_fan(points):
@@ -135,6 +154,8 @@ def test_convexity_and_span_examples():
     )
     with pytest.raises(ValueError):
         convexity_and_span_check([(0, 0), (1, 1)])
+    # no turn is straight, but the second turns the other way: not convex
+    assert not convexity_and_span_check([(0, 0), (2, 0), (1, 1), (1, 3)])
 
 
 def test_convexity_catches_non_spanning():
