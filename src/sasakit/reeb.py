@@ -1,14 +1,19 @@
 """Volume of the truncated cone and its minimization over the Reeb slice.
 
-Slicing the cone at <y, xi> <= 1 gives a simplex-fan polytope whose vertices
-are the extreme rays scaled by 1/<ray, xi>.  Its Euclidean volume V is
+Slicing the cone at <y, xi> <= 1 gives a polytope whose vertices are the
+apex and the extreme rays scaled by 1/<ray, xi>.  Its Euclidean volume V is
 rational in xi, homogeneous of degree -rank and log-convex on the open Reeb
-cone.  `minimize_volume` runs damped Newton on log V in an exact reduced
-lattice basis, so every input basis gets the same answer; `converged` means
-a Newton decrement at most `TOLERANCE`.  The frame is O(d) exact integer
-work done once per diagram and kept on it; a start then costs O(h) floats
-per fan pass.  V is the raw polytope volume; any constant tying it to a
-metric volume is a convention left to the caller.
+cone.  `volume` sums it exactly over simplices around one ray.  The float
+pass of `minimize_volume` uses the cyclic form of Martelli-Sparks-Yau, one
+term per facet normal over that normal's two rays:
+V = sum_k c_k / (<xi, r_k-1> <xi, r_k>) / (-6 <gamma, xi>), where
+c_k = det(l_k-1, l_k, l_k+1) and r_k = l_k x l_k+1 around the facet cycle.
+It runs damped Newton on log V in an exact reduced lattice basis, so every
+input basis gets the same answer; `converged` means a Newton decrement at
+most `TOLERANCE`.  The frame is O(d) exact integer work done once per
+diagram and kept on it; a start then costs O(h) floats per pass.  V is the
+raw polytope volume; any constant tying it to a metric volume is a
+convention left to the caller.
 """
 
 from __future__ import annotations
@@ -121,11 +126,13 @@ def _reduced_frame(diagram: ToricDiagram):
     form, and (a, b) recentres the points by integer multiples of l.  The
     normals map by N = M A^-T, the rays by N^-T: cross products of the
     mapped cycle normals.  Returns the rays as floats (3l r_1, r_2, r_3),
-    the fan determinants, the canonical start (3/d) sum of the normals as
-    (3l, x, y), N^-1 (maps xi back, keeping every pairing) and N^T (maps
-    covectors back).  Built once per diagram, from its own height data, in
-    plain ints: no Fraction (`_round_div` rounds), N^-1 = A^T M^-1 as one
-    3 x 3 product and each fan determinant as one integer expression.
+    the cycle determinants c_k = det(l_k-1, l_k, l_k+1) = <l_k-1, r_k> of
+    the mapped normals (det N = 1, so they are the input's own), the
+    canonical start (3/d) sum of the normals as (3l, x, y), N^-1 (maps xi
+    back, keeping every pairing) and N^T (maps covectors back).  Built once
+    per diagram, from its own height data, in plain ints: no Fraction
+    (`_round_div` rounds), N^-1 = A^T M^-1 as one 3 x 3 product and each
+    cycle determinant as one integer expression.
     """
     cy = compute_gamma(diagram)
     ell = cy.height
@@ -149,11 +156,11 @@ def _reduced_frame(diagram: ToricDiagram):
     normals = [
         (ell, a * ell + p * u + q * w, b * ell + r * u + s * w) for _, u, w in normalized.normals
     ]
-    rays = [_cross(normals[i], normals[j]) for i, j in zip(cycle, cycle[1:] + cycle[:1])]
-    x0, y0, z0 = rays[0]
-    dets = [  # det(r_0, r_j, r_j+1), exact
-        float(x0 * (y1 * z2 - z1 * y2) + y0 * (z1 * x2 - x1 * z2) + z0 * (x1 * y2 - y1 * x2))
-        for (x1, y1, z1), (x2, y2, z2) in zip(rays[1:-1], rays[2:])
+    ring = [normals[i] for i in cycle]
+    rays = [_cross(a, b) for a, b in zip(ring, ring[1:] + ring[:1])]
+    dets = [  # det(l_k-1, l_k, l_k+1) = <l_k-1, r_k>, exact
+        float(x * r1 + y * r2 + z * r3)
+        for (x, y, z), (r1, r2, r3) in zip(ring[-1:] + ring[:-1], rays)
     ]
     start = tuple(3 * sum(col) / diagram.d for col in zip(*normals))
     floats = [(float(3 * ell * r1), float(r2), float(r3)) for r1, r2, r3 in rays]
@@ -161,24 +168,34 @@ def _reduced_frame(diagram: ToricDiagram):
 
 
 def _fan(rays, dets, x, y):
-    """(V, grad log V, Hess log V as (xx, xy, yy)) at (x, y), one float pass; None outside."""
-    s = [c + p * x + q * y for c, p, q in rays]
-    if min(s) <= 0:
+    """(V, grad log V, Hess log V as (xx, xy, yy)) at (x, y), one float pass
+    of the cyclic sum S (V = S / 18 on the slice); None outside.  Ray k-1's
+    p/s, q/s and their squares carry forward to term k.
+    """
+    c, p, q = rays[-1]
+    s0 = c + p * x + q * y
+    if s0 <= 0:
         return None
-    u = [(p / t, q / t) for (_, p, q), t in zip(rays, s)]
+    a0, b0 = p / s0, q / s0
+    aa0, ab0, bb0 = a0 * a0, a0 * b0, b0 * b0
     v = gx = gy = hxx = hxy = hyy = 0.0
-    for j, det in enumerate(dets, 1):
-        (a0, b0), (a1, b1), (a2, b2) = u[0], u[j], u[j + 1]
-        t = det / (s[0] * s[j] * s[j + 1])
-        sx, sy = a0 + a1 + a2, b0 + b1 + b2
+    for det, (c, p, q) in zip(dets, rays):
+        s = c + p * x + q * y
+        if s <= 0:
+            return None
+        a, b = p / s, q / s
+        aa, ab, bb = a * a, a * b, b * b
+        t = det / (s0 * s)
+        sx, sy = a0 + a, b0 + b
         v += t
         gx -= t * sx
         gy -= t * sy
-        hxx += t * (sx * sx + a0 * a0 + a1 * a1 + a2 * a2)
-        hxy += t * (sx * sy + a0 * b0 + a1 * b1 + a2 * b2)
-        hyy += t * (sy * sy + b0 * b0 + b1 * b1 + b2 * b2)
+        hxx += t * (sx * sx + aa0 + aa)
+        hxy += t * (sx * sy + ab0 + ab)
+        hyy += t * (sy * sy + bb0 + bb)
+        s0, a0, b0, aa0, ab0, bb0 = s, a, b, aa, ab, bb
     gx, gy = gx / v, gy / v
-    return v / 6, (gx, gy), (hxx / v - gx * gx, hxy / v - gx * gy, hyy / v - gy * gy)
+    return v / 18, (gx, gy), (hxx / v - gx * gx, hxy / v - gx * gy, hyy / v - gy * gy)
 
 
 def minimize_volume(
@@ -201,7 +218,7 @@ def minimize_volume(
     scale-free decrement reached `TOLERANCE`; `grad_norm` is grad V tangent
     to the slice, in the input basis.  Cost: O(d) exact integer work for the
     frame, once per diagram (every call and start reads the one kept on it),
-    then O(h) floats per fan pass for h rays, one pass per step or backtrack.
+    then O(h) floats per pass for h rays, one pass per step or backtrack.
     Raises InfeasibleSlice unless cy is the diagram's own height data.
     """
     if cy != compute_gamma(diagram):  # gamma is unique: the same as pairing to -1

@@ -453,8 +453,8 @@ def reduced_basis_oracle(a, b, c):
 
 def reduced_frame_oracle(diagram: ToricDiagram):
     """`sasakit.reeb._reduced_frame` as it was written with Fraction rounding,
-    an `IntMatrix` product for N^-1 and a cross product per fan determinant,
-    kept verbatim (not kept on the diagram) as an oracle.
+    an `IntMatrix` product for N^-1 and a dot and cross product per cycle
+    determinant, as an oracle that is not kept on the diagram.
 
     The slice problem in an exact lattice basis where the height polygon is small.
 
@@ -464,9 +464,10 @@ def reduced_frame_oracle(diagram: ToricDiagram):
     form, and (a, b) recentres the points by integer multiples of l.  The
     normals map by N = M A^-T, the rays by N^-T: cross products of the
     mapped cycle normals.  Returns the rays as floats (3l r_1, r_2, r_3),
-    the fan determinants, the canonical start (3/d) sum of the normals as
-    (3l, x, y), N^-1 (maps xi back, keeping every pairing) and N^T (maps
-    covectors back).  Built once per diagram, from its own height data.
+    the cycle determinants det(l_k-1, l_k, l_k+1) of the mapped normals,
+    the canonical start (3/d) sum of the normals as (3l, x, y), N^-1 (maps
+    xi back, keeping every pairing) and N^T (maps covectors back).  Built
+    once per diagram, from its own height data.
     """
     cy = compute_gamma(diagram)
     ell = cy.height
@@ -488,7 +489,9 @@ def reduced_frame_oracle(diagram: ToricDiagram):
         (ell, a * ell + p * u + q * w, b * ell + r * u + s * w) for _, u, w in normalized.normals
     ]
     rays = [_cross(normals[i], normals[j]) for i, j in zip(cycle, cycle[1:] + cycle[:1])]
-    dets = [float(_dot(rays[0], _cross(rays[j], rays[j + 1]))) for j in range(1, len(rays) - 1)]
+    ring = [normals[i] for i in cycle]
+    h = len(ring)
+    dets = [float(_dot(ring[k - 1], _cross(ring[k], ring[(k + 1) % h]))) for k in range(h)]
     start = tuple(3 * sum(col) / diagram.d for col in zip(*normals))
     floats = [(float(3 * ell * r1), float(r2), float(r3)) for r1, r2, r3 in rays]
     return floats, dets, start, back, cov

@@ -21,6 +21,7 @@ from sasakit import (
     z5_lens,
 )
 from sasakit import reeb
+from sasakit.cones import cone_skeleton
 from sasakit.lattice import IntMatrix
 from sasakit.reeb import _fan, _reduced_frame, _round_div
 from sasakit.serialize import format_float
@@ -325,8 +326,8 @@ def test_restarts_agree():
 
 
 def test_each_start_takes_one_fan_pass(monkeypatch):
-    # Newton starts from the fan pass that accepted the (halved) offset, so
-    # no start point is evaluated twice
+    # Newton starts from the pass of the cyclic sum that accepted the
+    # (halved) offset, so no start point is evaluated twice
     calls = []
 
     def recorded(rays, dets, x, y):
@@ -383,6 +384,66 @@ def test_reduced_frame_equals_the_fraction_oracle(d):
     assert new[2] == old[2]
     assert new[3] == old[3] and all(type(x) is int for row in new[3].entries for x in row)
     assert new[4] == old[4]
+
+
+def _det3(a, b, c):
+    """det of the rows a, b, c by cofactors along a."""
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
+def _cycle_triples(d):
+    """(l_k-1, l_k, l_k+1) around the input's facet cycle."""
+    ring = [d.normals[i] for i in cone_skeleton(d).facet_cycle]
+    return list(zip(ring[-1:] + ring[:-1], ring, ring[1:] + ring[:1]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_diagrams(), st.data())
+def test_cyclic_sum_is_the_exact_volume(d, data):
+    # Martelli-Sparks-Yau in Fractions, at a rational xi = sum w_i l_i (w_i > 0,
+    # so xi is in the open Reeb cone): with c_k = det(l_k-1, l_k, l_k+1) and
+    # <xi, r_k> = det(xi, l_k, l_k+1), sum_k c_k / (<xi, r_k-1> <xi, r_k>)
+    # / (-6 <gamma, xi>) is the fan volume; and the frame's dets are the c_k
+    weights = data.draw(st.lists(
+        st.fractions(Fraction(1, 20), 20, max_denominator=50), min_size=d.d, max_size=d.d
+    ))
+    xi = [sum(w * n[t] for w, n in zip(weights, d.normals)) for t in range(3)]
+    triples = _cycle_triples(d)
+    dets = [_det3(*triple) for triple in triples]
+    s = sum(c / (_det3(xi, a, b) * _det3(xi, b, e)) for c, (a, b, e) in zip(dets, triples))
+    pairing = sum(g * x for g, x in zip(compute_gamma(d).gamma, xi))
+    assert s / (-6 * pairing) == volume(d, xi)
+    assert _reduced_frame(d)[1] == [float(c) for c in dets]
+
+
+def _charge_residual(d):
+    """max |xi - (3/2) sum R_k l_k| / max |xi| at minimize_volume's xi, where
+    R_k = 2 L_k / sum L and L_k = c_k / (det(xi, l_k-1, l_k) det(xi, l_k, l_k+1)),
+    in the input basis and in Fractions of the float xi."""
+    res = minimize_volume(d, compute_gamma(d))
+    assert res.converged
+    xi = [Fraction(x) for x in res.xi.xi]
+    triples = _cycle_triples(d)
+    charges = [_det3(a, b, e) / (_det3(xi, a, b) * _det3(xi, b, e)) for a, b, e in triples]
+    total = sum(charges)
+    mixed = [Fraction(3, 2) * sum(2 * c / total * b[t] for c, (_, b, _) in zip(charges, triples))
+             for t in range(3)]
+    return float(max(abs(x - m) for x, m in zip(xi, mixed)) / max(abs(x) for x in xi))
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame_diagrams())
+@example(transform_normals(main4_odd(19, 4), random_sl3(random.Random(3))))
+def test_minimizer_is_rebuilt_from_its_r_charges(d):
+    # Butti-Zaffaroni: at the minimum the R-charges R_k, which sum to 2,
+    # rebuild xi = (3/2) sum R_k l_k; computed with no code of `_fan`
+    assert _charge_residual(d) <= 1e-10
+
+
+def test_catalogue_minimizers_are_rebuilt_from_their_r_charges():
+    for entry in SMALL_D[::8]:
+        assert _charge_residual(validate_diagram(entry["normals"])) <= 1e-10, entry["normals"]
 
 
 @given(st.integers(-10**30, 10**30), st.integers(1, 10**12))
