@@ -34,12 +34,6 @@ class CalabiYauData(Record):
     def pairing(self, vector) -> Fraction:
         return sum(g * x for g, x in zip(self.gamma, vector))
 
-    @cached_property
-    def normalizer(self) -> IntMatrix:
-        """A in SL(m+1, Z) with A(l*gamma) = (-1, 0, ..., 0): one Euclid pass on
-        l*gamma (`complete_to_unimodular`), once per object."""
-        return complete_to_unimodular(tuple(int(g * self.height) for g in self.gamma))
-
 
 class KernelLattice(Record):
     """Kernel data of the torus map sending basis vectors to the normals.
@@ -98,15 +92,21 @@ def normalize_height(
     cy must be the diagram's own height data (InfeasibleSlice otherwise):
     both are computed once per diagram and kept on it.
     """
+    _check_own(diagram, cy)
+    return _normalized(diagram)
+
+
+def _check_own(diagram: ToricDiagram, cy: CalabiYauData) -> None:
+    # gamma is unique: being the diagram's own is the same as pairing to -1
     if cy != compute_gamma(diagram):
         raise InfeasibleSlice("not the diagram's own height data: no normalization slice")
-    return _normalized(diagram)
 
 
 @_kept_on_diagram
 def _normalized(diagram: ToricDiagram) -> tuple[IntMatrix, ToricDiagram]:
+    # A in SL(m+1, Z) with A(l*gamma) = (-1, 0, ..., 0): one Euclid pass on l*gamma
     cy = compute_gamma(diagram)
-    A = cy.normalizer
+    A = complete_to_unimodular(tuple(int(g * cy.height) for g in cy.gamma))
     if diagram.rank == 3:
         a0, a1, a2 = A.entries
         cof = (_cross(a1, a2), _cross(a2, a0), _cross(a0, a1))  # A^-T, as det A = 1

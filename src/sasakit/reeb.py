@@ -22,8 +22,8 @@ from fractions import Fraction
 from math import log, sqrt
 
 from .cones import ToricDiagram, _cross, _dot, _kept_on_diagram, cone_skeleton, extreme_rays
-from .cy import CalabiYauData, compute_gamma, normalize_height
-from .errors import InfeasibleSlice, UnboundedRegion
+from .cy import CalabiYauData, _check_own, _normalized, compute_gamma
+from .errors import UnboundedRegion
 from .lattice import IntMatrix, Record
 
 MAX_ITERATIONS = 100
@@ -134,9 +134,8 @@ def _reduced_frame(diagram: ToricDiagram):
     (`_round_div` rounds), N^-1 = A^T M^-1 as one 3 x 3 product and each
     cycle determinant as one integer expression.
     """
-    cy = compute_gamma(diagram)
-    ell = cy.height
-    A, normalized = normalize_height(diagram, cy)
+    ell = compute_gamma(diagram).height
+    A, normalized = _normalized(diagram)
     cycle = cone_skeleton(diagram).facet_cycle
     pts = [normalized.normals[i][1:] for i in cycle]
     n, sp, sq = len(pts), sum(p for p, _ in pts), sum(q for _, q in pts)
@@ -221,8 +220,7 @@ def minimize_volume(
     then O(h) floats per pass for h rays, one pass per step or backtrack.
     Raises InfeasibleSlice unless cy is the diagram's own height data.
     """
-    if cy != compute_gamma(diagram):  # gamma is unique: the same as pairing to -1
-        raise InfeasibleSlice("not the diagram's own height data: no normalization slice")
+    _check_own(diagram, cy)
     rays, dets, (b1, x, y), back, cov = _reduced_frame(diagram)
     if start_offset is None:
         current = _fan(rays, dets, x, y)

@@ -28,15 +28,8 @@ def fraction_to_str(q: Fraction) -> str:
     return str(Fraction(q))
 
 
-def diagram_to_dict(diagram: ToricDiagram, cy: CalabiYauData | None = None) -> dict:
-    out = {
-        "rank": diagram.rank,
-        "normals": [list(v) for v in diagram.normals],
-    }
-    if cy is not None:
-        out["gamma"] = [fraction_to_str(g) for g in cy.gamma]
-        out["height"] = cy.height
-    return out
+def diagram_to_dict(diagram: ToricDiagram) -> dict:
+    return {"rank": diagram.rank, "normals": [list(v) for v in diagram.normals]}
 
 
 def _is_int(x) -> bool:

@@ -23,7 +23,7 @@ import sasakit
 from sasakit import cli, cones, cy as cy_module, reeb
 from sasakit.cli import main
 from sasakit.cones import ToricDiagram
-from sasakit.cy import compute_gamma, kernel_lattice
+from sasakit.cy import compute_gamma, kernel_lattice, normalize_height
 from sasakit.errors import DiagramError, SasakitError
 from sasakit.reeb import MinimizationResult, minimize_volume, volume
 from sasakit.serialize import diagram_to_dict, dumps, format_float, load_diagram
@@ -1048,7 +1048,7 @@ def test_diagram_roundtrip_through_json(tmp_path):
 def test_load_diagram_checks_gamma_and_height(tmp_path):
     path = tmp_path / "d.json"
     lens2 = compute_gamma(lens(2))
-    path.write_text(dumps(diagram_to_dict(lens(2), lens2)))
+    path.write_text(json.dumps({**diagram_to_dict(lens(2)), "gamma": ["-1", "-1", "1/2"], "height": 2}))
     assert load_diagram(str(path))[1] == lens2
     octant = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     for gamma, height in [
@@ -1240,7 +1240,8 @@ def test_analyze_maps_the_normals_by_the_normalizer_once(tmp_path, capsys, monke
     # is not the identity)
     shear = lattice.IntMatrix.from_rows([[1, 0, 0], [1, 1, 0], [2, -1, 1]])
     normals = [shear.mul_vector(v) for v in main4_even(8, 3).normals]
-    at_inv = compute_gamma(cones.validate_diagram(normals)).normalizer.inverse_unimodular().transpose()
+    d = cones.validate_diagram(normals)
+    at_inv = normalize_height(d, compute_gamma(d))[0].inverse_unimodular().transpose()
     calls = _record(monkeypatch, cy_module, "_map_normals")
     _analyze_reeb(tmp_path, capsys, normals)
     assert [cof for cof, _ in calls] == [at_inv.entries]

@@ -349,6 +349,64 @@ def test_each_start_takes_one_fan_pass(monkeypatch):
     assert halvings[0] == halvings[1] == 0 < halvings[2]
 
 
+def _damped(monkeypatch, refuse):
+    """minimize_volume on main4_odd(3, 2) from the offset (0.3, -0.2), with `_fan`
+    passed through `refuse(call index, its result)`; also returns the points
+    `_fan` was called at."""
+    calls = []
+
+    def patched(rays, dets, x, y):
+        calls.append((x, y))
+        return refuse(len(calls) - 1, _fan(rays, dets, x, y))
+
+    monkeypatch.setattr(reeb, "_fan", patched)
+    d = main4_odd(3, 2)
+    return minimize_volume(d, compute_gamma(d), start_offset=(0.3, -0.2)), calls
+
+
+def test_a_refused_trial_halves_the_step_once(monkeypatch):
+    # call 0 is the start and call 1 the first full step: refused, the step
+    # halves once and Newton still lands on the unpatched minimizer
+    d = main4_odd(3, 2)
+    plain = minimize_volume(d, compute_gamma(d), start_offset=(0.3, -0.2))
+    res, calls = _damped(monkeypatch, lambda k, out: None if k == 1 else out)
+    (x0, y0), (x1, y1) = calls[:2]
+    assert calls[2] == pytest.approx(((x0 + x1) / 2, (y0 + y1) / 2), rel=1e-12)
+    assert res.converged and res.iterations == 5
+    scale = max(abs(x) for x in plain.xi.xi)
+    assert max(abs(a - b) for a, b in zip(res.xi.xi, plain.xi.xi)) <= 1e-12 * scale
+
+
+def test_a_stalled_line_search_stops_unconverged(monkeypatch):
+    # every trial refused: the step halves from 1 past 1e-20 (67 trials after
+    # the start) and the search gives up without raising
+    res, calls = _damped(monkeypatch, lambda k, out: out if k == 0 else None)
+    assert not res.converged and res.iterations == 0
+    assert len(calls) == 68
+
+
+def test_a_non_positive_hessian_stops_unconverged(monkeypatch):
+    # negated, the Hessian keeps its positive determinant: hxx <= 0 alone stops
+    def negated(k, out):
+        v, g, (hxx, hxy, hyy) = out
+        return v, g, (-hxx, hxy, -hyy)
+
+    res, calls = _damped(monkeypatch, negated)
+    assert not res.converged and res.iterations == 0
+    assert len(calls) == 1
+
+
+def test_fan_is_none_where_the_last_ray_pairs_non_positively():
+    # the last ray's pairing is tested before anything is divided by it
+    rays, dets, (_, x, y), _, _ = _reduced_frame(main4_odd(3, 2))
+    c, p, q = rays[-1]
+    k = 2 * (c + p * x + q * y) / (p * p + q * q)
+    # a point on that ray's wall, and the start reflected through the wall
+    for x, y in ((-c / p, 0.0), (x - k * p, y - k * q)):
+        assert c + p * x + q * y <= 0
+        assert _fan(rays, dets, x, y) is None
+
+
 @st.composite
 def frame_diagrams(draw):
     """Family members, plain, under the golden shear or a random_sl3 shear,
