@@ -67,6 +67,11 @@ class Record:
 
 def _as_int_vector(v) -> IntVector:
     v = tuple(v)
+    for x in v:
+        if type(x) is not int:
+            break
+    else:
+        return v  # plain ints, as the JSON loader gives: nothing to convert
     out = tuple(map(int, v))
     if out != v:
         raise ValueError(f"non-integer entry in {v}")

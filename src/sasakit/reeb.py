@@ -13,7 +13,10 @@ input basis gets the same answer; `converged` means a Newton decrement at
 most `TOLERANCE`.  The frame is O(d) exact integer work done once per
 diagram and kept on it; a start then costs O(h) floats per pass.  V is the
 raw polytope volume; any constant tying it to a metric volume is a
-convention left to the caller.
+convention left to the caller.  The printed bytes are fixed by the order of
+the float operations in `_fan` and in `minimize_volume`'s tail.  The tail
+adds left to right from the int 0 and calls no float `sum()`, which adds
+with compensation from Python 3.12 on.
 """
 
 from __future__ import annotations
@@ -192,7 +195,8 @@ def _fan(rays, dets, x, y):
         hxx += t * (sx * sx + aa0 + aa)
         hxy += t * (sx * sy + ab0 + ab)
         hyy += t * (sy * sy + bb0 + bb)
-        s0, a0, b0, aa0, ab0, bb0 = s, a, b, aa, ab, bb
+        s0, a0, b0 = s, a, b
+        aa0, ab0, bb0 = aa, ab, bb
     gx, gy = gx / v, gy / v
     return v / 18, (gx, gy), (hxx / v - gx * gx, hxy / v - gx * gy, hyy / v - gy * gy)
 
@@ -255,16 +259,18 @@ def minimize_volume(
         iterations += 1
 
     val, (gx, gy), _ = current
-    xi = tuple(_dot(row, (b1, x, y)) for row in back.entries)
+    # every sum below adds left to right from the int 0, as sum() did up to 3.11
+    xi = tuple(0 + r * b1 + s * x + t * y for r, s, t in back.entries)
     # grad V in the frame: (x, y) parts from grad log V, b_1 from <grad V, xi> = -3 V
-    grad_v = ((-3 - x * gx - y * gy) * val / b1, val * gx, val * gy)
-    g = [_dot(row, grad_v) for row in cov]
-    gamma = [float(c) for c in cy.gamma]
-    along = _dot(g, gamma) / _dot(gamma, gamma)
+    v0, v1, v2 = (-3 - x * gx - y * gy) * val / b1, val * gx, val * gy
+    g0, g1, g2 = (0 + r * v0 + s * v1 + t * v2 for r, s, t in cov)
+    c0, c1, c2 = map(float, cy.gamma)
+    along = (0 + g0 * c0 + g1 * c1 + g2 * c2) / (0 + c0 * c0 + c1 * c1 + c2 * c2)
+    norm2 = 0 + (g0 - along * c0) ** 2 + (g1 - along * c1) ** 2 + (g2 - along * c2) ** 2
     return MinimizationResult(
         xi=ReebVector(xi),
         volume=val,
-        grad_norm=sqrt(sum((a - along * c) ** 2 for a, c in zip(g, gamma))),
+        grad_norm=sqrt(norm2),
         iterations=iterations,
         converged=converged,
     )

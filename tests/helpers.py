@@ -27,13 +27,14 @@ from sasakit import (
     validate_diagram,
 )
 from sasakit.cones import ConeSkeleton, ToricDiagram, _cross, _dot, cone_skeleton
-from sasakit.cy import compute_gamma, normalize_height
+from sasakit.cy import _check_own, compute_gamma, normalize_height
 from sasakit.lattice import (
     IntMatrix,
     IntVector,
     _as_int_vector,
     smith_normal_form,
 )
+from sasakit.reeb import MAX_ITERATIONS, TOLERANCE, _reduced_frame
 
 
 def make_primitive(v) -> IntVector:
@@ -495,6 +496,108 @@ def reduced_frame_oracle(diagram: ToricDiagram):
     start = tuple(3 * sum(col) / diagram.d for col in zip(*normals))
     floats = [(float(3 * ell * r1), float(r2), float(r3)) for r1, r2, r3 in rays]
     return floats, dets, start, back, cov
+
+
+def fan_oracle(rays, dets, x, y):
+    """`sasakit.reeb._fan` as it was written with one six-name carry per term,
+    verbatim: every float operation in the order whose bytes the goldens pin.
+
+    (V, grad log V, Hess log V as (xx, xy, yy)) at (x, y), one float pass
+    of the cyclic sum S (V = S / 18 on the slice); None outside.  Ray k-1's
+    p/s, q/s and their squares carry forward to term k.
+    """
+    c, p, q = rays[-1]
+    s0 = c + p * x + q * y
+    if s0 <= 0:
+        return None
+    a0, b0 = p / s0, q / s0
+    aa0, ab0, bb0 = a0 * a0, a0 * b0, b0 * b0
+    v = gx = gy = hxx = hxy = hyy = 0.0
+    for det, (c, p, q) in zip(dets, rays):
+        s = c + p * x + q * y
+        if s <= 0:
+            return None
+        a, b = p / s, q / s
+        aa, ab, bb = a * a, a * b, b * b
+        t = det / (s0 * s)
+        sx, sy = a0 + a, b0 + b
+        v += t
+        gx -= t * sx
+        gy -= t * sy
+        hxx += t * (sx * sx + aa0 + aa)
+        hxy += t * (sx * sy + ab0 + ab)
+        hyy += t * (sy * sy + bb0 + bb)
+        s0, a0, b0, aa0, ab0, bb0 = s, a, b, aa, ab, bb
+    gx, gy = gx / v, gy / v
+    return v / 18, (gx, gy), (hxx / v - gx * gx, hxy / v - gx * gy, hyy / v - gy * gy)
+
+
+def _sum_in_order(terms):
+    """sum(terms) as sum() adds up to Python 3.11: left to right from the int 0.
+    From 3.12 on, sum() adds floats with compensation."""
+    acc = 0
+    for term in terms:
+        acc += term
+    return acc
+
+
+def minimize_volume_oracle(diagram, cy, start_offset=None) -> MinimizationResult:
+    """`sasakit.minimize_volume` as it was written with a `_dot` or `sum()` for
+    each sum of its tail, on `fan_oracle`; each such sum is `_sum_in_order`,
+    so the result is the bytes of Python 3.11 on any interpreter.  It reads
+    the frame that `_reduced_frame` keeps on the diagram.
+    """
+    _check_own(diagram, cy)
+    rays, dets, (b1, x, y), back, cov = _reduced_frame(diagram)
+    if start_offset is None:
+        current = fan_oracle(rays, dets, x, y)
+    else:
+        dx, dy = (float(t) for t in start_offset)
+        while (current := fan_oracle(rays, dets, x + dx, y + dy)) is None:
+            dx, dy = dx / 2, dy / 2
+        x, y = x + dx, y + dy
+    iterations, converged = 0, False
+    while True:
+        val, (gx, gy), (hxx, hxy, hyy) = current
+        det = hxx * hyy - hxy * hxy
+        if hxx <= 0 or det <= 0:
+            break
+        dx, dy = (hxy * gy - hyy * gx) / det, (hxy * gx - hxx * gy) / det
+        decrement = math.sqrt(max(-(gx * dx + gy * dy), 0.0))
+        converged = decrement <= TOLERANCE
+        if converged or iterations == MAX_ITERATIONS:
+            break
+        t = 1.0
+        while t > 1e-20:
+            trial = fan_oracle(rays, dets, x + t * dx, y + t * dy)
+            if trial is not None and (
+                decrement <= 1e-3
+                or math.log(trial[0]) <= math.log(val) - 1e-4 * t * decrement**2
+            ):
+                break
+            t /= 2
+        else:
+            break
+        x, y, current = x + t * dx, y + t * dy, trial
+        iterations += 1
+
+    def dot(a, b):
+        return _sum_in_order(u * v for u, v in zip(a, b))
+
+    val, (gx, gy), _ = current
+    xi = tuple(dot(row, (b1, x, y)) for row in back.entries)
+    # grad V in the frame: (x, y) parts from grad log V, b_1 from <grad V, xi> = -3 V
+    grad_v = ((-3 - x * gx - y * gy) * val / b1, val * gx, val * gy)
+    g = [dot(row, grad_v) for row in cov]
+    gamma = [float(c) for c in cy.gamma]
+    along = dot(g, gamma) / dot(gamma, gamma)
+    return MinimizationResult(
+        xi=ReebVector(xi),
+        volume=val,
+        grad_norm=math.sqrt(_sum_in_order((a - along * c) ** 2 for a, c in zip(g, gamma))),
+        iterations=iterations,
+        converged=converged,
+    )
 
 
 def minimize_volume_bb(diagram, cy, start_offset=None, tol=1e-11, max_iter=20000):

@@ -14,9 +14,11 @@ output, with
 
 from __future__ import annotations
 
+import builtins
 import contextlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -26,6 +28,8 @@ import pytest
 from sasakit import families
 from sasakit.cli import main
 from sasakit.serialize import dumps
+
+_builtin_sum = builtins.sum
 
 GOLDEN = Path(__file__).with_name("golden")
 GOLDEN_POTENTIALS = Path(__file__).with_name("golden_potentials")
@@ -135,6 +139,44 @@ def test_golden_potential_bytes(name, tmp_path):
     path = GOLDEN_POTENTIALS / f"{name}.json"
     golden = json.loads(path.read_text(encoding="utf-8"))
     assert potential_record(tmp_path, golden["normals"]) == golden
+
+
+def _sum_out_of_order(iterable, /, start=0):
+    """builtins.sum, except that a sum of plain ints and floats with a float
+    among them is math.fsum's correctly rounded one.  Like sum() from Python
+    3.12 on, which adds floats with compensation, it does not add left to
+    right."""
+    items = [start, *iterable]
+    types = set(map(type, items))
+    if float in types and types <= {int, float}:
+        return math.fsum(items)
+    return _builtin_sum(items[1:], start)
+
+
+def test_golden_bytes_do_not_depend_on_the_order_of_float_sums(tmp_path, monkeypatch):
+    # every analyze output of tests/golden and every analyze stdout and grid
+    # CSV of tests/golden_potentials, replayed with sum() adding floats out of
+    # order: the printed bytes must not rest on how sum() adds
+    monkeypatch.setattr(builtins, "sum", _sum_out_of_order)
+    mismatches = []
+    path = tmp_path / "diagram.json"
+    for name in sorted(cases()):
+        golden = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
+        path.write_text(dumps({"rank": 3, "normals": golden["normals"]}))
+        code, out = run_command(path, "analyze")
+        if (code, out) != (golden["analyze"]["exit"], golden["analyze"]["stdout"]):
+            mismatches.append(f"golden/{name}")
+    monkeypatch.chdir(tmp_path)  # the grid's relative path is printed
+    for name in sorted(potential_cases()):
+        golden = json.loads((GOLDEN_POTENTIALS / f"{name}.json").read_text(encoding="utf-8"))
+        path.write_text(dumps({"rank": 3, "normals": golden["normals"]}))
+        code, out = run_command(path, "analyze", POTENTIAL_COMMANDS)
+        if (code, out) != (golden["analyze"]["exit"], golden["analyze"]["stdout"]):
+            mismatches.append(f"golden_potentials/{name} (analyze stdout)")
+        # as bytes: read_text() would fold the CSV's CRLF
+        if (tmp_path / "grid.csv").read_bytes() != golden["analyze"]["csv"].encode("utf-8"):
+            mismatches.append(f"golden_potentials/{name} (grid CSV)")
+    assert not mismatches, "bytes changed: " + ", ".join(mismatches)
 
 
 def _write(path: Path, record: dict) -> None:

@@ -24,17 +24,18 @@ from helpers import (
 
 
 def test_as_int_vector_contract():
-    # ints, integral floats and Fractions and bools come back as plain ints;
-    # a generator is read once; a fraction or a string is a ValueError, None
-    # a TypeError
-    cases = [(1, -2, 3), (1.0, -2.0, 3.0), (True, False, 7), (Fraction(6, 2), 0, -1)]
+    # ints, integral floats and Fractions and bools come back as plain ints,
+    # also after plain ints; a generator is read once; a fraction or a string
+    # is a ValueError, None a TypeError
+    cases = [(1, -2, 3), (1.0, -2.0, 3.0), (True, False, 7), (Fraction(6, 2), 0, -1),
+             (4, -5, True), (2, 3, 4.0)]
     for v in cases:
         out = _as_int_vector(v)
         assert out == tuple(int(x) for x in v)
         assert all(type(x) is int for x in out)
     assert _as_int_vector(x for x in (4, 5.0, True)) == (4, 5, 1)
     assert _as_int_vector([]) == ()
-    for bad in ((1, 1.5, 0), (1, "3", 0), (Fraction(1, 2),), (float("nan"), 0)):
+    for bad in ((1, 1.5, 0), (1, "3", 0), (Fraction(1, 2),), (float("nan"), 0), (1, 2, 2.5)):
         with pytest.raises(ValueError):
             _as_int_vector(bad)
     with pytest.raises(TypeError):

@@ -21,13 +21,16 @@ from sasakit import (
     z5_lens,
 )
 from sasakit import reeb
+from sasakit.cli import RESTART_OFFSETS
 from sasakit.cones import cone_skeleton
 from sasakit.lattice import IntMatrix
 from sasakit.reeb import _fan, _reduced_frame, _round_div
 from sasakit.serialize import format_float
 
 from helpers import (
+    fan_oracle,
     minimize_volume_bb,
+    minimize_volume_oracle,
     nullspace,
     octant,
     random_convex_height1_diagram,
@@ -442,6 +445,26 @@ def test_reduced_frame_equals_the_fraction_oracle(d):
     assert new[2] == old[2]
     assert new[3] == old[3] and all(type(x) is int for row in new[3].entries for x in row)
     assert new[4] == old[4]
+
+
+_OFFSETS = st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5))
+
+
+@settings(max_examples=100, deadline=None)
+@given(frame_diagrams(), st.data())
+def test_fan_and_minimizer_equal_their_reference_copies(d, data):
+    # bit for bit (repr tells -0.0 from 0.0): `_fan` against its six-name-carry
+    # copy at the canonical start and at slice points around it, and every
+    # MinimizationResult field against a tail that adds left to right from 0
+    rays, dets, (_, x, y), _, _ = _reduced_frame(d)
+    for dx, dy in [(0.0, 0.0), *data.draw(st.lists(_OFFSETS, min_size=1, max_size=4))]:
+        new, old = _fan(rays, dets, x + dx, y + dy), fan_oracle(rays, dets, x + dx, y + dy)
+        assert new == old and repr(new) == repr(old)
+    cy = compute_gamma(d)
+    for offset in (None, *RESTART_OFFSETS, data.draw(_OFFSETS)):
+        new = minimize_volume(d, cy, start_offset=offset)
+        old = minimize_volume_oracle(d, cy, start_offset=offset)
+        assert new == old and repr(new) == repr(old), offset
 
 
 def _det3(a, b, c):
