@@ -142,7 +142,8 @@ def cmd_check(args) -> tuple[dict, int]:
         "input": diagram_to_dict(diagram),
         "tool": _tool_block(),
         **_goodness(report),
-        # every normal is one facet, the skeleton's rays are the edges
+        # "facets" counts the normals as given, a normal that cuts no facet
+        # included; the skeleton's rays are the edges
         "faces": {"facets": diagram.d, "edges": len(cone_skeleton(diagram).rays)},
     }
     return out, EXIT_OK if report.good else EXIT_NOT_GOOD

@@ -18,6 +18,7 @@ from .errors import DiagramError, WrongRank
 FLOAT_FORMAT = "%.12g"
 PRECISION = 12
 _INF = float("inf")
+_ROW_TYPES = frozenset((list, tuple))  # the rows _int_table fills
 
 
 def format_float(x: float) -> str:
@@ -107,27 +108,31 @@ def dumps(obj) -> str:
     """`json.dumps(obj, indent=2, sort_keys=True)` plus a newline, byte for byte.
 
     json itself uses its pure-Python encoder whenever `indent` is set; this
-    writer joins each level in one step instead, and a list of plain ints
-    (the normals, the normalizer) in one join.  Strings go through json's own
-    C escaper.  TypeError for a key that is not a string and for any value
-    json would not encode.
+    writer joins each level in one step instead, a list of plain ints (the
+    normalizer) in one join, and a table of plain ints (the normals) by
+    filling one `%d` template.  Strings go through json's own C escaper.
+    TypeError for a key that is not a string and for any value json would
+    not encode.
     """
     return _encode(obj, "\n") + "\n"
 
 
 def _encode(o, newline: str) -> str:
-    """o as json writes it at the depth whose line break and indent is `newline`."""
+    """o as json writes it at the depth whose line break and indent is `newline`;
+    a table of plain ints is filled from one template (`_int_table`)."""
     if isinstance(o, (list, tuple)):
         if not o:
             return "[]"
         inner = newline + "  "
         for x in o:
-            if type(x) is not int:  # bools and int subclasses take the long way
-                items = [_encode(x, inner) for x in o]
+            if type(x) is not int:  # a table of ints, or item by item (bools, int subclasses)
+                body = _int_table(o, inner)
+                if body is None:
+                    body = ("," + inner).join([_encode(x, inner) for x in o])
                 break
         else:
-            items = map(repr, o)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+            body = ("," + inner).join(map(repr, o))
+        return "[" + inner + body + newline + "]"
     if isinstance(o, dict):
         if not o:
             return "{}"
@@ -153,3 +158,22 @@ def _encode(o, newline: str) -> str:
             return "Infinity" if o > 0 else "-Infinity"
         return float.__repr__(o)
     raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _int_table(o, inner: str):
+    """The rows of o filled from one `%d` template, or None unless o is a table:
+    lists or tuples of one nonzero width whose entries are all plain ints."""
+    w = len(o[0]) if type(o[0]) in _ROW_TYPES else 0
+    if not w:
+        return None
+    flat = []
+    for row in o:
+        if type(row) not in _ROW_TYPES or len(row) != w:
+            return None
+        flat += row
+    for x in flat:
+        if type(x) is not int:  # %d would print a bool as 1
+            return None
+    cell = inner + "  "
+    row = "[" + cell + ("," + cell).join(["%d"] * w) + inner + "]"
+    return ("," + inner).join([row] * len(o)) % tuple(flat)

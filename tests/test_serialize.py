@@ -12,7 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from sasakit import cli
 from sasakit.cli import main
-from sasakit.families import FAMILY_BUILDERS
+from sasakit.cy import compute_gamma, normalize_height
+from sasakit.families import FAMILY_BUILDERS, main4_odd
 from sasakit.serialize import dumps
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -55,8 +56,33 @@ JSON_TREES = st.recursive(
 @example({"a": [1, True, 2], "b": [], "c": {}, "d": (), "e": [[]]})
 @example([float("nan"), float("inf"), -float("inf"), -0.0, np.float64(0.1)])
 @example({"ü": "日本 \x00\n", "": None})
+# tables of plain ints take one template; every near miss is written item by item
+@example([[1, 2], [3, 4]])
+@example(((1, 2), (3, 4)))
+@example([(1, 2), [3, 4]])
+@example([[1], [2]])
+@example([[1, 2], [3]])
+@example([[], []])
+@example([[1, True], [3, 4]])
+@example([[1, 2], [ReprInt(3), 4]])
+@example([[1, 2], [3, 4.0]])
+@example([[1, 2], 3])
+@example({"a": {"b": {"c": [[10**30, -1], [0, -(10**30)]]}}})
 def test_dumps_matches_json(obj):
     assert dumps(obj) == reference(obj)
+
+
+def test_dumps_writes_long_tables_as_json_does():
+    # main4-odd(320, 1): 642 normals, printed as given and normalized, at the
+    # depth analyze prints them
+    diagram = main4_odd(320, 1)
+    _, normalized = normalize_height(diagram, compute_gamma(diagram))
+    for rows in (diagram.normals, [list(v) for v in normalized.normals]):
+        assert len(rows) == 642
+        assert dumps(rows) == reference(rows)
+        assert dumps({"stages": {"cy": {"normals": rows}}}) == reference(
+            {"stages": {"cy": {"normals": rows}}}
+        )
 
 
 @pytest.mark.parametrize(
