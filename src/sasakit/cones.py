@@ -76,21 +76,63 @@ def _kept_on_diagram(fn):
 @_kept_on_diagram
 def elimination(diagram: ToricDiagram):
     """`rref` of [N | I], N the rank x d matrix whose columns are the normals: the
-    one fraction-free elimination behind the rank, gamma and the kernel basis."""
+    fraction-free elimination behind the kernel basis, and behind the rank and
+    gamma except at rank 3, where `pivots` and `height_covector` take cofactors."""
     identity = IntMatrix.identity(diagram.rank).entries
     return rref([n + e for n, e in zip(zip(*diagram.normals), identity)], diagram.d)
+
+
+@_kept_on_diagram
+def pivots(diagram: ToricDiagram) -> tuple[int, ...]:
+    """Indices of the first independent normals, left to right: `elimination`'s
+    pivot columns of N, whose count is the rank of N.
+
+    At rank 3 they are read greedily, with no elimination: the first nonzero
+    normal l, the first m with l x m != 0, the first n with det(l, m, n) != 0.
+    """
+    if diagram.rank != 3:
+        return tuple(elimination(diagram)[1])
+    rest = enumerate(diagram.normals)
+    for i, lam in rest:
+        if any(lam):
+            break
+    else:
+        return ()
+    for j, mu in rest:
+        c = _cross(lam, mu)
+        if any(c):
+            break
+    else:
+        return (i,)
+    for k, nu in rest:
+        if _dot(c, nu):
+            return i, j, k
+    return i, j
 
 
 @_kept_on_diagram
 def height_covector(diagram: ToricDiagram) -> tuple[Fraction, ...] | None:
     """gamma with <gamma, lambda_i> = -1 for every normal, or None.
 
-    (-1, ..., -1) is in the row space of N exactly when the reduced rows
-    sum to (1, ..., 1), i.e. the pivot rows to scale * (1, ..., 1).  The sum
-    of their identity block, divided by -scale, is then gamma: no second solve.
+    At rank 3 with three pivots l, m, n, gamma solves their three equations:
+    gamma = -g / det, g = m x n + n x l + l x m and det = det(l, m, n), and
+    it exists iff every normal pairs with g to det.  Otherwise (-1, ..., -1)
+    is in the row space of N exactly when the reduced rows of `elimination`
+    sum to (1, ..., 1), i.e. the pivot rows to scale * (1, ..., 1); the sum
+    of their identity block, divided by -scale, is then gamma.
     """
-    rows, pivots, scale, _ = elimination(diagram)
-    sums = [sum(col) for col in zip(*rows[: len(pivots)])]
+    found = pivots(diagram)
+    if len(found) == 3 == diagram.rank:
+        lam, mu, nu = (diagram.normals[i] for i in found)
+        mn, nl, lm = _cross(mu, nu), _cross(nu, lam), _cross(lam, mu)
+        g0, g1, g2 = (x + y + z for x, y, z in zip(mn, nl, lm))
+        det = _dot(lam, mn)
+        for x, y, z in diagram.normals:
+            if g0 * x + g1 * y + g2 * z != det:
+                return None
+        return Fraction(-g0, det), Fraction(-g1, det), Fraction(-g2, det)
+    rows, pivot_cols, scale, _ = elimination(diagram)
+    sums = [sum(col) for col in zip(*rows[: len(pivot_cols)])]
     if any(s != scale for s in sums[: diagram.d]):
         return None
     return tuple(Fraction(-s, scale) for s in sums[diagram.d :])
@@ -164,7 +206,8 @@ def validate_diagram(normals, rank: int | None = None) -> ToricDiagram:
     """Check primitivity, distinctness, nonempty interior and strong convexity.
 
     Raises NonPrimitiveNormal, RedundantNormal, EmptyInterior or
-    DegenerateCone, in that order; the rank is read from `elimination`.
+    DegenerateCone, in that order; the rank is the count of `pivots`, read
+    at rank 3 from cross products and one determinant.
     """
     vecs = [_as_int_vector(v) for v in normals]
     if not vecs:
@@ -184,7 +227,7 @@ def validate_diagram(normals, rank: int | None = None) -> ToricDiagram:
         seen[v] = i
     diagram = ToricDiagram(rank=m1, normals=tuple(vecs))
     interior_point(diagram)  # raises EmptyInterior
-    found = len(elimination(diagram)[1])
+    found = len(pivots(diagram))
     if found < m1:
         raise DegenerateCone(m1, found)
     return diagram

@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .cones import ToricDiagram, _cross, _kept_on_diagram, elimination, height_covector, torsion
+from .cones import ToricDiagram, _cross, _kept_on_diagram, elimination, height_covector
+from .cones import pivots, torsion
 from .errors import InfeasibleSlice
 from .lattice import (
     IntMatrix,
@@ -38,8 +39,9 @@ class CalabiYauData(Record):
 class KernelLattice(Record):
     """Kernel data of the torus map sending basis vectors to the normals.
 
-    The basis is built on first read; equality compares basis and component
-    group.
+    The basis is built on first read, from the diagram's elimination; the
+    rank is d minus the count of its `pivots`, which at rank 3 takes no
+    elimination.  Equality compares basis and component group.
     """
 
     diagram: ToricDiagram
@@ -52,7 +54,7 @@ class KernelLattice(Record):
 
     @property
     def rank(self) -> int:
-        return self.diagram.d - len(elimination(self.diagram)[1])
+        return self.diagram.d - len(pivots(self.diagram))
 
     def __eq__(self, other):
         if not isinstance(other, KernelLattice):
@@ -68,7 +70,8 @@ def compute_gamma(diagram: ToricDiagram) -> CalabiYauData | None:
     """Solve <gamma, lambda_i> = -1 for all i, exactly.
 
     Returns None when the system is inconsistent (no height structure);
-    gamma comes from the diagram's one elimination.  The height is the lcm
+    gamma is `height_covector`'s: at rank 3 one cofactor solve of three
+    independent normals and one dot product per normal.  The height is the lcm
     of the denominators of gamma, which makes height*gamma primitive.  Kept
     on the diagram.
     """
@@ -128,9 +131,10 @@ def _map_normals(cof, normals):
 
 def kernel_lattice(diagram: ToricDiagram) -> KernelLattice:
     """Kernel basis (free columns of the diagram's elimination, built on first
-    read; the rank is d minus its pivot count) and component group (its
-    `torsion`, kept on the diagram and read by `fundamental_group` too: one
-    gcd pass over the normals at rank 3 when an edge is saturated).
+    read; the rank is d minus the count of `pivots`, with no elimination at
+    rank 3) and component group (its `torsion`, kept on the diagram and read
+    by `fundamental_group` too: one gcd pass over the normals at rank 3 when
+    an edge is saturated).
 
     The normalized copy A^-T N of `normalize_height` is row-equivalent to N,
     so it has the same reduced rows, kernel basis and invariant factors.  Its

@@ -4,11 +4,12 @@ Everything here runs on Python ints, so results are exact at any magnitude:
 transform-free invariant factors behind every lattice verdict, unimodular
 completion of a primitive vector by one Euclid pass on its column, primitivity,
 saturation of sublattices, and the one fraction-free (Bareiss) elimination,
-`rref`, behind every rank, determinant, unimodular inverse, kernel basis,
-height covector and interior witness.  One Smith pivot loop serves the
-invariant factors, the completion and the full Smith normal form; a transform
-rides along as an identity appended to the matrix.  The full form stays as a
-library function; no verdict calls it.
+`rref`, behind every determinant, unimodular inverse and kernel basis, and
+behind the rank, height covector and interior witness except at rank 3,
+where cross products of the first independent normals give them.  One
+Smith pivot loop serves the invariant factors, the completion and the full
+Smith normal form; a transform rides along as an identity appended to the
+matrix.  The full form stays as a library function; no verdict calls it.
 """
 
 from __future__ import annotations

@@ -131,22 +131,25 @@ def _reduced_frame(diagram: ToricDiagram):
     mapped cycle normals.  Returns the rays as floats (3l r_1, r_2, r_3),
     the cycle determinants c_k = det(l_k-1, l_k, l_k+1) = <l_k-1, r_k> of
     the mapped normals (det N = 1, so they are the input's own), the
-    canonical start (3/d) sum of the normals as (3l, x, y), N^-1 (maps xi
-    back, keeping every pairing) and N^T (maps covectors back).  Built once
-    per diagram, from its own height data, in plain ints: no Fraction
-    (`_round_div` rounds), N^-1 = A^T M^-1 as one 3 x 3 product and each
-    cycle determinant as one integer expression.
+    canonical start (3/d) sum of the mapped normals, N^-1 (maps xi back,
+    keeping every pairing) and N^T (maps covectors back).  Built once per
+    diagram, from its own height data, in plain ints: no Fraction
+    (`_round_div` rounds), N^-1 = A^T M^-1 as one 3 x 3 product.  One loop
+    over the cycle takes the five moment sums; the start maps the column
+    sums of the normalized normals, not each normal; one more loop over the
+    mapped cycle points (l, x_k, y_k) gives each ray r_k = (x_k y_k+1 -
+    y_k x_k+1, l (y_k - y_k+1), l (x_k+1 - x_k)), its determinant and its
+    floats.
     """
     ell = compute_gamma(diagram).height
     A, normalized = _normalized(diagram)
     cycle = cone_skeleton(diagram).facet_cycle
     pts = [normalized.normals[i][1:] for i in cycle]
-    n, sp, sq = len(pts), sum(p for p, _ in pts), sum(q for _, q in pts)
-    (p, q), (r, s) = _reduced_basis(
-        n * sum(p * p for p, _ in pts) - sp * sp,
-        n * sum(p * q for p, q in pts) - sp * sq,
-        n * sum(q * q for _, q in pts) - sq * sq,
-    )
+    sp = sq = spp = spq = sqq = 0
+    for u, w in pts:
+        sp, sq, spp, spq, sqq = sp + u, sq + w, spp + u * u, spq + u * w, sqq + w * w
+    n = len(pts)
+    (p, q), (r, s) = _reduced_basis(n * spp - sp * sp, n * spq - sp * sq, n * sqq - sq * sq)
     a, b = -_round_div(p * sp + q * sq, n * ell), -_round_div(r * sp + s * sq, n * ell)
     # back = A^T M^-1, M^-1 = [[1, 0, 0], [e, s, -q], [f, -r, p]], one row per column of A
     e, f = q * b - s * a, r * a - p * b
@@ -155,17 +158,19 @@ def _reduced_frame(diagram: ToricDiagram):
     ))
     b0, b1, b2 = back.entries
     cov = (_cross(b1, b2), _cross(b2, b0), _cross(b0, b1))  # cof(N^-1) = N^T
-    normals = [
-        (ell, a * ell + p * u + q * w, b * ell + r * u + s * w) for _, u, w in normalized.normals
-    ]
-    ring = [normals[i] for i in cycle]
-    rays = [_cross(a, b) for a, b in zip(ring, ring[1:] + ring[:1])]
-    dets = [  # det(l_k-1, l_k, l_k+1) = <l_k-1, r_k>, exact
-        float(x * r1 + y * r2 + z * r3)
-        for (x, y, z), (r1, r2, r3) in zip(ring[-1:] + ring[:-1], rays)
-    ]
-    start = tuple(3 * sum(col) / diagram.d for col in zip(*normals))
-    floats = [(float(3 * ell * r1), float(r2), float(r3)) for r1, r2, r3 in rays]
+    d = diagram.d
+    _, su, sw = map(sum, zip(*normalized.normals))
+    # 3/d times the column sums: the first, 3 l d / d, is 3l exactly
+    start = (float(3 * ell), 3 * (a * ell * d + p * su + q * sw) / d,
+             3 * (b * ell * d + r * su + s * sw) / d)
+    ring = [(a * ell + p * u + q * w, b * ell + r * u + s * w) for u, w in pts]
+    floats, dets = [], []
+    (xp, yp), (x, y) = ring[-1], ring[0]
+    for xn, yn in ring[1:] + ring[:1]:
+        r1, r2, r3 = x * yn - y * xn, ell * (y - yn), ell * (xn - x)
+        dets.append(float(ell * r1 + xp * r2 + yp * r3))  # det(l_k-1, l_k, l_k+1), exact
+        floats.append((float(3 * ell * r1), float(r2), float(r3)))
+        xp, yp, x, y = x, y, xn, yn
     return floats, dets, start, back, cov
 
 

@@ -8,6 +8,7 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import mpmath
 import numpy as np
 import sympy
 
@@ -48,6 +49,28 @@ def make_primitive(v) -> IntVector:
 
 def octant():
     return validate_diagram([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+
+
+def ypq(p, q):
+    """The toric diagram of Y^{p,q}, 0 < q < p: (1,0,0), (1,1,0), (1,p,p), (1,p-q-1,p-q)."""
+    return validate_diagram([(1, 0, 0), (1, 1, 0), (1, p, p), (1, p - q - 1, p - q)])
+
+
+def ypq_reeb_oracle(p, q):
+    """The volume minimizer of Y^{p,q} in closed form (Martelli-Sparks), in
+    mpmath at 60 digits: (V, xi) on the slice xi_1 = 3 of `ypq(p, q)`.
+
+    xi = (3, x, x) with x = (3p - 3q + 1/l) / 2, where s = sqrt(4p^2 - 3q^2)
+    and 1/l = (3q^2 - 2p^2 + ps) / q; V = Vol(Y^{p,q}) / (6 pi^3) is the raw
+    polytope volume of `minimize_volume`.  Both use the identity
+    3q^2 - 2p^2 + ps = 3q^2 (p + s) / (2p + s), which subtracts nothing, so
+    q << p loses no digits: 1/l = 3q (p + s) / (2p + s) and
+    V = (2p + s)^2 / (54 p^2 (p + s)).
+    """
+    with mpmath.workdps(60):
+        s = mpmath.sqrt(4 * p * p - 3 * q * q)  # an exact int, rounded once
+        x = (3 * p - 3 * q + 3 * q * (p + s) / (2 * p + s)) / 2
+        return (2 * p + s) ** 2 / (54 * p * p * (p + s)), (mpmath.mpf(3), x, x)
 
 
 def interior_points(diagram, count, seed=0, lo=0.1, hi=1.0):

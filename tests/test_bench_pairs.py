@@ -13,7 +13,7 @@ _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
-SIDE_FIELDS = {"commit", "dirty", "source_sha256"}
+SIDE_FIELDS = {"commit", "dirty", "source_sha256", "benchmark_sha256"}
 SUMMARY_FIELDS = {
     "unit", "better", "bound", "parent", "change", "parent_quartiles", "change_quartiles",
     "parent_median", "change_median", "parent_iqr", "change_pct", "change_wins",
@@ -27,11 +27,12 @@ def test_smoke_pair_with_this_tree_on_both_sides(tmp_path):
             "--seconds", "1", "--out", str(out)]
     assert bench_pairs.main(argv) == 0
     doc = json.loads(out.read_text(encoding="utf-8"))
-    assert set(doc) == {"machine", "parent", "change", "seconds", "seeds", "held_out_seed",
-                        "workloads"}
+    assert set(doc) == {"machine", "parent", "change", "same_benchmark", "seconds", "seeds",
+                        "held_out_seed", "workloads"}
     assert set(doc["machine"]) == {"nproc", "platform", "python", "numpy"}
     assert set(doc["parent"]) == set(doc["change"]) == SIDE_FIELDS
     assert doc["parent"] == doc["change"]
+    assert doc["same_benchmark"] is True
     assert (doc["seconds"], doc["seeds"], doc["held_out_seed"]) == (1, [1], 2)
     result = doc["workloads"]["analyze-large-d"]
     assert result["all_correct"] is True
@@ -80,3 +81,43 @@ def test_higher_is_better_for_throughput():
     assert summary["ops_per_s"]["verdict"] == "better"
     assert summary["ops_per_s"]["change_wins"] == 10
     assert summary["op_p50_ms"]["ties"] == 10 and summary["op_p50_ms"]["verdict"] == "held"
+
+
+def _tree(root):
+    """A tree holding only a benchmark, perfbench/ and BENCHMARK.json, with
+    a compiled file and the outputs of a run in perfbench/."""
+    for name in ("__pycache__", ".work/12", "out"):
+        (root / "perfbench" / name).mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text("print()\n", encoding="utf-8")
+    (root / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"compiled")
+    (root / "perfbench" / ".work" / "12" / "diagram.json").write_text("{}", encoding="utf-8")
+    (root / "perfbench" / "out" / "run.json").write_text("{}", encoding="utf-8")
+    (root / "BENCHMARK.json").write_text("{}\n", encoding="utf-8")
+    return root
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: (t / "perfbench" / "run.py").write_text("print(1)\n", encoding="utf-8"),
+    lambda t: (t / "perfbench" / "small_d.json").write_text("[]\n", encoding="utf-8"),
+    lambda t: (t / "BENCHMARK.json").write_text('{"paths": []}\n', encoding="utf-8"),
+])
+def test_records_whether_both_trees_run_the_same_benchmark(tmp_path, capsys, edit):
+    # no benchmark runs: the digests read the two trees' files only
+    parent = bench_pairs._describe(_tree(tmp_path / "parent"), "0" * 40)
+    same = _tree(tmp_path / "same")
+    (same / "src").mkdir()
+    (same / "src" / "mod.py").write_text("x = 1\n", encoding="utf-8")
+    (same / "perfbench" / "__pycache__" / "run.pyc").write_bytes(b"recompiled")
+    (same / "perfbench" / ".work" / "13").mkdir()
+    (same / "perfbench" / ".work" / "13" / "warmup.json").write_text("[]", encoding="utf-8")
+    (same / "perfbench" / "out" / "run.json").write_text("[]", encoding="utf-8")
+    change = bench_pairs._describe(same, "1" * 40)
+    assert change["source_sha256"] != parent["source_sha256"]
+    assert bench_pairs.same_benchmark(parent, change) is True
+    assert capsys.readouterr().err == ""
+
+    other = _tree(tmp_path / "other")
+    edit(other)
+    assert bench_pairs.same_benchmark(parent, bench_pairs._describe(other, "2" * 40)) is False
+    err = capsys.readouterr().err
+    assert err.startswith("# ") and err.count("\n") == 1

@@ -29,8 +29,8 @@ from sasakit import (
 )
 
 from sasakit import cones
-from sasakit.cones import cone_skeleton, height1_points, height_covector
-from sasakit.lattice import IntMatrix
+from sasakit.cones import ToricDiagram, cone_skeleton, height1_points, height_covector
+from sasakit.lattice import IntMatrix, rref
 
 from helpers import (
     _fm_feasible,
@@ -160,6 +160,51 @@ def test_gordan_witness_runs_only_without_a_height_covector(monkeypatch):
     d = validate_diagram([shear.mul_vector((1, i, i * i)) for i in range(-80, 81)])
     assert systems == [4]
     assert interior_point(d) == tuple(-g for g in height_covector(d))
+
+
+@st.composite
+def rank3_lists(draw):
+    """Raw rank-3 normal lists of rank 0 to 3: integer mixes of k = 1, 2 or 3
+    generators (parallel normals at k = 1), sometimes after a zero normal."""
+    k = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(-3, 3)] * 3)
+    gens = draw(st.lists(vec, min_size=k, max_size=k))
+    mixes = draw(st.lists(st.lists(st.integers(-2, 2), min_size=k, max_size=k),
+                          min_size=1, max_size=8))
+    normals = [tuple(sum(c * g[i] for c, g in zip(mix, gens)) for i in range(3)) for mix in mixes]
+    return [(0, 0, 0)] * draw(st.booleans()) + normals
+
+
+def elimination_gamma(normals):
+    """gamma read off one rref of [N | I], as before the cofactor path, or None."""
+    d, identity = len(normals), IntMatrix.identity(3).entries
+    rows, pivots, scale, _ = rref([n + e for n, e in zip(zip(*normals), identity)], d)
+    sums = [sum(col) for col in zip(*rows[: len(pivots)])]
+    if any(s != scale for s in sums[:d]):
+        return None
+    return tuple(Fraction(-s, scale) for s in sums[d:])
+
+
+@settings(max_examples=400, deadline=None)
+@given(rank3_lists())
+@example([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])  # a zero first normal
+@example([(1, 0, 0), (0, 0, 0), (2, 0, 0), (-1, 0, 0)])  # parallel: rank 1
+@example([(1, 2, 3), (2, 4, 6), (0, 1, 0), (1, 1, 0), (5, 5, 5)])  # a normal parallel to l before m
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 0)])  # rank 2, no gamma
+@example([(1, 0, 0), (0, 1, 0), (2, -1, 0)])  # rank 2 with gamma (-1, -1, 0)
+@example([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)])  # rank 3, the last normal refuses gamma
+def test_cofactor_pivots_and_gamma_match_the_elimination(normals):
+    d = ToricDiagram(rank=3, normals=tuple(normals))
+    assert cones.pivots(d) == tuple(cones.elimination(d)[1])
+    assert height_covector(d) == elimination_gamma(normals)
+    primitive = list(dict.fromkeys(make_primitive(v) for v in normals if any(v)))
+    if primitive:  # the earlier path's verdict: Fourier-Motzkin, then sympy's rank
+        try:
+            validate_diagram(primitive)
+        except (EmptyInterior, DegenerateCone) as exc:
+            assert type(exc) is validation_oracle(primitive)
+        else:
+            assert validation_oracle(primitive) is None
 
 
 @st.composite

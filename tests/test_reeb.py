@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,10 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 from sasakit import (
     UnboundedRegion,
     compute_gamma,
+    is_good,
     lens,
     main4_even,
     main4_odd,
     minimize_volume,
+    topology_report,
     truncated_polytope,
     validate_diagram,
     volume,
@@ -37,6 +40,8 @@ from helpers import (
     random_sl3,
     reduced_frame_oracle,
     transform_normals,
+    ypq,
+    ypq_reeb_oracle,
 )
 
 # a det-1 shear of the pentagon (0,0),(1,1),(2,4),(1,3),(0,1), on which an
@@ -305,6 +310,34 @@ def test_minimizer_is_shear_equivariant():
         mapped = [sum(c * x for c, x in zip(row, a.xi.xi)) for row in m.entries]
         scale = max(abs(x) for x in mapped)
         assert max(abs(x - y) for x, y in zip(b.xi.xi, mapped)) <= 1e-12 * scale, d.normals
+
+
+YPQ_CASES = [(p, q) for p in range(2, 13) for q in range(1, p)] + [
+    (10**3, 7), (10**6, 1), (10**9, 12345), (10**12, 3), (10**15, 10**15 - 1),
+]
+
+
+@pytest.mark.parametrize("p, q", YPQ_CASES)
+def test_ypq_minimizer_matches_the_closed_form(p, q):
+    # Martelli-Sparks's Y^{p,q} volume and Reeb vector, as given and under two
+    # shears, xi mapped back exactly; the worst readings were 2.7e-16 (V) and
+    # 6.4e-14 (xi), where Newton's 1e-13 decrement, not rounding, bounds xi
+    rng = random.Random(p % 1009 + q % 1013)
+    volume_, xi = ypq_reeb_oracle(p, q)
+    for m in (IntMatrix.identity(3), random_sl3(rng), random_sl3(rng)):
+        d = transform_normals(ypq(p, q), m)
+        res = minimize_volume(d, compute_gamma(d))
+        assert res.converged
+        assert abs(res.volume - volume_) <= 1e-14 * volume_
+        with mpmath.workdps(60):
+            back = [mpmath.fsum(c * mpmath.mpf(x) for c, x in zip(row, res.xi.xi))
+                    for row in m.inverse_unimodular().entries]
+            assert max(abs(x - e) for x, e in zip(back, xi)) <= 1e-12 * max(xi)
+        if p <= 12:
+            g = math.gcd(p, q)
+            assert is_good(d).good
+            assert topology_report(d).pi1_invariant_factors == ((g,) if g > 1 else ())
+            assert topology_report(d).b2 == 1
 
 
 def test_fault_pentagon_converges():

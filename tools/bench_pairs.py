@@ -9,9 +9,11 @@ which the medians, quartiles and win counts leave out.
 --parent is a git revision of this repository, which `git archive` writes
 into a temporary directory (no worktree is added and nothing is fetched), or
 a directory that holds a checkout.  The output file records the machine
-(nproc, platform, Python and numpy versions), both trees' commits, the
-seeds, every run's metrics, and for each end-to-end metric of BENCHMARK.json
-each side's median and quartiles, the win counts and a verdict:
+(nproc, platform, Python and numpy versions), both trees' commits, a digest
+of each tree's benchmark (its perfbench/ and BENCHMARK.json) and whether the
+two agree, the seeds, every run's metrics, and for each end-to-end metric
+of BENCHMARK.json each side's median and quartiles, the win counts and a
+verdict:
 
   better       the change won at least 9 in 10 pairs (ties count for
                neither) and its median beats the parent's by more than the
@@ -24,7 +26,9 @@ each side's median and quartiles, the win counts and a verdict:
 
 Usage: python tools/bench_pairs.py --parent REV|DIR --workload W [--workload W ...]
            --pairs N --seconds S --out BENCH_<n>.json
-Exits 1 if a run fails or prints no result.
+Prints one `#` warning line to stderr when the two trees' benchmarks
+differ, as their runs then time different programs.  Exits 1 if a run
+fails or prints no result.
 """
 
 from __future__ import annotations
@@ -45,6 +49,8 @@ ROOT = Path(__file__).resolve().parents[1]
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 METRICS = {m["name"]: m for m in SPEC["end_to_end"]}
 WIN_SHARE = 0.9
+# what compiling and running the benchmark leave in perfbench/ (all in .gitignore)
+RUN_OUTPUTS = {"__pycache__", ".work", "out"}
 
 
 def _git(tree: Path, *args: str) -> str:
@@ -52,21 +58,37 @@ def _git(tree: Path, *args: str) -> str:
                           check=True).stdout.strip()
 
 
-def _source_digest(tree: Path) -> str:
-    """sha256 over the paths and bytes of the tree's src/ and perfbench/ Python files."""
+def _digest(tree: Path, paths) -> str:
+    """sha256 over the paths (relative to tree) and bytes of the given files."""
     h = hashlib.sha256()
-    for path in sorted((tree / "src").rglob("*.py")) + sorted((tree / "perfbench").rglob("*.py")):
+    for path in paths:
         h.update(str(path.relative_to(tree)).encode() + b"\0" + path.read_bytes() + b"\0")
     return h.hexdigest()
 
 
 def _describe(tree: Path, commit: str | None = None) -> dict:
-    """The commit a tree was made from and whether its tracked files differ from it."""
+    """The commit a tree was made from, whether its tracked files differ from
+    it, a digest of its src/ and perfbench/ Python files, and one of its
+    benchmark: every perfbench/ file outside `RUN_OUTPUTS`, and BENCHMARK.json."""
     dirty = None
     if commit is None and (tree / ".git").exists():
         commit = _git(tree, "rev-parse", "HEAD")
         dirty = bool(_git(tree, "status", "--porcelain", "--untracked-files=no"))
-    return {"commit": commit, "dirty": dirty, "source_sha256": _source_digest(tree)}
+    source = sorted((tree / "src").rglob("*.py")) + sorted((tree / "perfbench").rglob("*.py"))
+    harness = tree / "perfbench"
+    benchmark = sorted(p for p in harness.rglob("*")
+                       if p.is_file() and not RUN_OUTPUTS & set(p.relative_to(harness).parts))
+    return {"commit": commit, "dirty": dirty, "source_sha256": _digest(tree, source),
+            "benchmark_sha256": _digest(tree, benchmark + [tree / "BENCHMARK.json"])}
+
+
+def same_benchmark(parent: dict, change: dict) -> bool:
+    """Whether both sides run the same benchmark; one `#` warning line on stderr if not."""
+    same = parent["benchmark_sha256"] == change["benchmark_sha256"]
+    if not same:
+        print("# the trees' perfbench/ or BENCHMARK.json differ: their runs time "
+              "different benchmarks", file=sys.stderr, flush=True)
+    return same
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -187,6 +209,7 @@ def main(argv=None) -> int:
                                      capture_output=True, check=True).stdout
             subprocess.run(["tar", "-x", "-C", tmp], input=archive, check=True)
             parent = _describe(parent_tree, commit)
+        same = same_benchmark(parent, change)
         try:
             results = bench({"parent": parent_tree, "change": ROOT},
                             args.workload, args.pairs, args.seconds)
@@ -195,7 +218,7 @@ def main(argv=None) -> int:
             return 1
     doc = {
         "machine": _machine(),
-        "parent": parent, "change": change,
+        "parent": parent, "change": change, "same_benchmark": same,
         "seconds": args.seconds,
         "seeds": list(range(1, args.pairs + 1)), "held_out_seed": args.pairs + 1,
         "workloads": results,
