@@ -70,8 +70,9 @@ from .topology import (
 _POTENTIALS = (
     "LinearTerm", "PotentialSample", "QuadraticCoordinate", "RationalBump",
     "SymplecticPotential", "canonical_potential", "canonical_xi_potential", "eval_canonical",
-    "eval_canonical_xi", "geodesic_equation_residual", "geodesic_segment", "invert_gradient",
-    "legendre", "legendre_roundtrip_error", "reeb_invariance_residual", "shifted_potential",
+    "eval_canonical_xi", "eval_potential", "geodesic_equation_residual", "geodesic_segment",
+    "invert_gradient", "legendre", "legendre_roundtrip_error", "reeb_invariance_residual",
+    "shifted_potential",
 )
 
 __all__ = sorted([n for n in dir() if not n.startswith("_")] + ["potentials", *_POTENTIALS])

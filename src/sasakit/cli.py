@@ -39,7 +39,7 @@ from .cones import (
     is_good,
 )
 from .cy import compute_gamma, kernel_lattice, normalize_height
-from .errors import NotNormalized, SasakitError, WrongRank
+from .errors import SasakitError, WrongRank
 from .families import FAMILY_BUILDERS
 from .reeb import minimize_volume, truncated_polytope, volume
 from .serialize import (
@@ -362,7 +362,7 @@ def cmd_analyze(args) -> tuple[dict, int]:
     if args.emit_svg:
         try:
             _emit_svg(diagram, args.emit_svg)
-        except (NotNormalized, ValueError) as exc:
+        except ValueError as exc:
             raise _Failure(str(exc), EXIT_INPUT)
         stages["svg"] = {"path": args.emit_svg}
 

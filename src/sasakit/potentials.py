@@ -273,16 +273,8 @@ def eval_canonical_xi(diagram: ToricDiagram, xi, y) -> PotentialSample:
     return eval_potential(canonical_xi_potential(diagram, xi), y)
 
 
-def legendre(pot, y=None) -> tuple[np.ndarray, np.ndarray]:
-    """The dual pair (x, F): x is the gradient, F = <y, x> - G(y).
-
-    Accepts either a potential together with the point y, or an already
-    computed sample (whose dual data is just read off).
-    """
-    if isinstance(pot, PotentialSample):
-        return pot.x, pot.F
-    if y is None:
-        raise TypeError("legendre of a potential needs the evaluation point")
+def legendre(pot, y) -> tuple[np.ndarray, np.ndarray]:
+    """The dual pair (x, F) of `pot` at y: x is the gradient, F = <y, x> - G(y)."""
     sample = eval_potential(pot, y)
     return sample.x, sample.F
 
@@ -425,7 +417,6 @@ def geodesic_equation_residual(
     y,
     t: float,
     h: float = 1e-3,
-    fd_order: int = 2,
 ) -> float:
     """Pointwise geodesic-equation defect of the segment between g0 and g1.
 
@@ -434,13 +425,11 @@ def geodesic_equation_residual(
     value and (through the transform itself) its x-gradient.  The residual
     is d2F/dt2 minus the squared x-gradient of dF/dt in the dual metric,
     whose inverse Hessian is the Hessian of the segment potential, taken in
-    closed form at the center.  Central differences of order `fd_order`
-    (2 or 4); with the default the residual shrinks like h^2.
+    closed form at the center.  Second-order central differences in t, so
+    the residual shrinks like h^2.
     """
     if not 0.0 < t < 1.0:
         raise ValueError("t must lie in (0, 1)")
-    if fd_order not in (2, 4):
-        raise ValueError("fd_order must be 2 or 4")
     y = np.asarray(y, dtype=float)
     center = _combine(g0, g1, t)
     x_bar = center.grad(y)
@@ -453,16 +442,9 @@ def geodesic_equation_residual(
             raise StencilOutsideDomain(str(exc)) from exc
         return y_sol, float(y_sol @ x_bar - pot.value(y_sol))
 
-    if fd_order == 2:
-        (y_p, f_p), (y_c, f_c), (y_m, f_m) = solve(t + h), solve(t), solve(t - h)
-        f_tt = (f_p - 2 * f_c + f_m) / h**2
-        grad_fdot = (y_p - y_m) / (2 * h)  # grad_x F_tau = y_tau(x)
-    else:
-        (y_p2, f_p2), (y_p, f_p) = solve(t + 2 * h), solve(t + h)
-        (y_c, f_c) = solve(t)
-        (y_m, f_m), (y_m2, f_m2) = solve(t - h), solve(t - 2 * h)
-        f_tt = (-f_p2 + 16 * f_p - 30 * f_c + 16 * f_m - f_m2) / (12 * h**2)
-        grad_fdot = (-y_p2 + 8 * y_p - 8 * y_m + y_m2) / (12 * h)
+    (y_p, f_p), (y_c, f_c), (y_m, f_m) = solve(t + h), solve(t), solve(t - h)
+    f_tt = (f_p - 2 * f_c + f_m) / h**2
+    grad_fdot = (y_p - y_m) / (2 * h)  # grad_x F_tau = y_tau(x)
 
     hess_g = center.hess(y_c)
     quad = float(grad_fdot @ hess_g @ grad_fdot)

@@ -123,30 +123,22 @@ def topology_report(diagram: ToricDiagram) -> TopologyReport:
 def convexity_and_span_check(points) -> bool:
     """Strict convexity of the loop plus the differences generating Z^2.
 
-    Cross products of consecutive edge vectors must all carry one strict
-    sign, and the edge vectors must span the full integer lattice: two
+    The loop is strictly convex when the cross products of consecutive edge
+    vectors all carry one strict sign and the edge directions go round
+    exactly once: exactly one edge points up (dq > 0, or dq = 0 and dp > 0)
+    while the next does not, where a loop winding twice has two.  Two
     consecutive edges with a nonzero cross product already give rank 2, so
     the span is Z^2 exactly when the difference matrix has no invariant
     factors.
     """
     pts = [(int(p), int(q)) for p, q in points]
-    n = len(pts)
-    if n < 3:
+    if len(pts) < 3:
         raise ValueError("need at least 3 points")
-    edges = []
-    for k in range(n):
-        dp = pts[(k + 1) % n][0] - pts[k][0]
-        dq = pts[(k + 1) % n][1] - pts[k][1]
-        edges.append((dp, dq))
-    sign = 0
-    for k in range(n):
-        a = edges[k]
-        b = edges[(k + 1) % n]
-        cross = a[0] * b[1] - a[1] * b[0]
-        if cross == 0:
-            return False
-        if sign == 0:
-            sign = 1 if cross > 0 else -1
-        elif (cross > 0) != (sign > 0):
-            return False
+    edges = [(b[0] - a[0], b[1] - a[1]) for a, b in zip(pts, pts[1:] + pts[:1])]
+    turns, windings = [], 0
+    for (dp, dq), (ep, eq) in zip(edges, edges[1:] + edges[:1]):
+        turns.append(dp * eq - dq * ep)
+        windings += (dq, dp) > (0, 0) >= (eq, ep)  # edge k points up, edge k+1 not
+    if not (all(t > 0 for t in turns) or all(t < 0 for t in turns)) or windings != 1:
+        return False
     return not invariant_factors(IntMatrix.from_columns(edges))

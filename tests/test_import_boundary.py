@@ -83,6 +83,7 @@ def test_lazy_names_are_the_potentials_objects():
         assert getattr(sasakit, name) is getattr(potentials, name)
     for name in cli._POTENTIALS:
         assert getattr(cli, name) is getattr(potentials, name)
+    assert sasakit.eval_potential is potentials.eval_potential
     with pytest.raises(AttributeError):
         sasakit.no_such_name
     with pytest.raises(AttributeError):

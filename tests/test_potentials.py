@@ -69,9 +69,6 @@ def test_canonical_gradient_and_dual_value_octant():
     assert sample.F == pytest.approx(1.5)
     x, f = legendre(canonical_potential(octant()), (1, 1, 1))
     assert x == pytest.approx(sample.x) and f == pytest.approx(sample.F)
-    assert legendre(sample) == (sample.x, sample.F)
-    with pytest.raises(TypeError, match="needs the evaluation point"):
-        legendre(canonical_potential(octant()))
 
 
 def test_canonical_hessian_closed_form():
@@ -209,8 +206,15 @@ def test_geodesic_residual_trivial_cases():
     g0 = canonical_potential(d)
     y = (1.1, 0.8, 1.3)
     assert geodesic_equation_residual(g0, g0, y, t=0.5) == 0.0
+    # a linear shift solves the geodesic equation exactly: what the stencil
+    # reads is its truncation error, which falls fourfold when h halves
     g_lin = shifted_potential(g0, LinearTerm([0.25, -0.1, 0.4], 0.7))
-    assert abs(geodesic_equation_residual(g0, g_lin, y, t=0.4, h=1e-3, fd_order=4)) < 1e-8
+    ladder = [
+        abs(geodesic_equation_residual(g0, g_lin, y, t=0.4, h=h))
+        for h in (1e-2, 5e-3, 2.5e-3)
+    ]
+    orders = [math.log2(a / b) for a, b in zip(ladder, ladder[1:])]
+    assert all(abs(order - 2) < 0.05 for order in orders), orders
 
 
 def test_geodesic_residual_bump_small_and_second_order():
@@ -232,8 +236,6 @@ def test_geodesic_residual_t_validation():
     g0 = canonical_potential(octant())
     with pytest.raises(ValueError):
         geodesic_equation_residual(g0, g0, (1, 1, 1), t=0.0)
-    with pytest.raises(ValueError):
-        geodesic_equation_residual(g0, g0, (1, 1, 1), t=0.5, fd_order=3)
 
 
 def test_default_bump_is_the_ones_bump():

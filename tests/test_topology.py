@@ -156,6 +156,9 @@ def test_convexity_and_span_examples():
         convexity_and_span_check([(0, 0), (1, 1)])
     # no turn is straight, but the second turns the other way: not convex
     assert not convexity_and_span_check([(0, 0), (2, 0), (1, 1), (1, 3)])
+    # every turn has one sign, but the edge directions go round twice
+    assert not convexity_and_span_check([(0, 0), (3, 2), (-1, 2), (2, 0), (1, 3)])
+    assert not convexity_and_span_check([(0, 0), (1, 0), (1, 1), (0, 1)] * 2)
 
 
 def test_convexity_catches_non_spanning():
